@@ -103,4 +103,14 @@ echo "==> degradation gate (committed fault-laced corpus, threads 0 and 2)"
 # Regenerate deliberately with HARP_TRACE_BLESS=1.
 cargo test -q -p harp-testkit --test degradation
 
+echo "==> benchmark harness gate (wire == mirror directives, untraced and traced)"
+# The reference benchmark's own tests: its unit tests plus `run --quick`
+# (all five workloads at 1/50 size, oracle only, no timing claims), once
+# untraced and once traced. The oracle compares every activation the
+# daemon put on the wire with a mirror RmCore's directives and recovers
+# the final journal, so a change to the allocation round that alters any
+# directive fails here, before the driver runs the full benchmark. The
+# package is standalone (own workspace and target directory).
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "CI OK"

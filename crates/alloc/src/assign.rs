@@ -4,7 +4,7 @@
 
 use crate::{AllocRequest, Choice};
 use harp_platform::{CoreAvailability, HardwareDescription};
-use harp_types::{AppId, CoreKind, ExtResourceVector, HarpError, HwThreadId, Result};
+use harp_types::{AppId, CoreId, CoreKind, ExtResourceVector, HarpError, HwThreadId, Result};
 use std::collections::HashMap;
 
 /// Maps an extended resource vector onto a concrete set of granted cores,
@@ -22,36 +22,48 @@ use std::collections::HashMap;
 /// core ids.
 pub fn hw_threads_for(
     erv: &ExtResourceVector,
-    cores: &[harp_types::CoreId],
+    cores: &[CoreId],
     hw: &HardwareDescription,
 ) -> Result<Vec<HwThreadId>> {
-    let num_kinds = hw.num_kinds();
-    let mut per_kind: Vec<Vec<harp_types::CoreId>> = vec![Vec::new(); num_kinds];
+    let mut per_kind: Vec<Vec<CoreId>> = vec![Vec::new(); hw.num_kinds()];
     for &c in cores {
         per_kind[hw.kind_of_core(c)?.0].push(c);
     }
     let mut out = Vec::with_capacity(erv.total_threads() as usize);
     for (kind, granted) in per_kind.iter_mut().enumerate() {
-        granted.sort();
-        if granted.len() != erv.cores_of_kind(kind) as usize {
-            return Err(HarpError::other(format!(
-                "kind {kind}: {} granted cores vs {} demanded",
-                granted.len(),
-                erv.cores_of_kind(kind)
-            )));
-        }
-        let smt_width = hw.erv_shape().smt_width(CoreKind(kind)).unwrap_or(1);
-        let mut core_iter = granted.iter();
-        for threads_per_core in (1..=smt_width).rev() {
-            for _ in 0..erv.cores_with_threads(kind, threads_per_core) {
-                let core = core_iter.next().expect("counts verified");
-                let threads = hw.threads_of_core(*core)?;
-                out.extend(threads.into_iter().take(threads_per_core));
-            }
+        granted.sort_unstable();
+        push_kind_threads(erv, kind, granted, hw, &mut out)?;
+    }
+    out.sort_unstable_by_key(|t| t.0);
+    Ok(out)
+}
+
+/// Appends the hardware threads `erv` uses on `granted`, the ascending
+/// kind-`kind` cores it was given: cores running more threads first.
+fn push_kind_threads(
+    erv: &ExtResourceVector,
+    kind: usize,
+    granted: &[CoreId],
+    hw: &HardwareDescription,
+    out: &mut Vec<HwThreadId>,
+) -> Result<()> {
+    if granted.len() != erv.cores_of_kind(kind) as usize {
+        return Err(HarpError::other(format!(
+            "kind {kind}: {} granted cores vs {} demanded",
+            granted.len(),
+            erv.cores_of_kind(kind)
+        )));
+    }
+    let smt_width = hw.cluster(CoreKind(kind))?.smt_width;
+    let mut core_iter = granted.iter();
+    for threads_per_core in (1..=smt_width).rev() {
+        for _ in 0..erv.cores_with_threads(kind, threads_per_core) {
+            let core = core_iter.next().expect("counts verified");
+            let threads = hw.thread_range_of_core(*core)?;
+            out.extend(threads.take(threads_per_core).map(HwThreadId));
         }
     }
-    out.sort_by_key(|t| t.0);
-    Ok(out)
+    Ok(())
 }
 
 /// Maps the selected option of each request onto physical cores.
@@ -73,41 +85,44 @@ pub(crate) fn assign_cores(
     avail: Option<&CoreAvailability>,
     co_allocated: bool,
 ) -> Result<HashMap<AppId, Choice>> {
-    let num_kinds = hw.num_kinds();
-    let mut next_free: Vec<usize> = vec![0; num_kinds]; // per-kind cursor
+    // Each cluster's free list, once per round.
+    let kind_cores = (0..hw.num_kinds())
+        .map(|kind| match avail {
+            Some(a) => a.cores_of_kind(hw, CoreKind(kind)),
+            None => hw.cores_of_kind(CoreKind(kind)),
+        })
+        .collect::<Result<Vec<Vec<CoreId>>>>()?;
+    let mut next_free: Vec<usize> = vec![0; kind_cores.len()]; // per-kind cursor
     let mut out = HashMap::with_capacity(requests.len());
     for (r, &p) in requests.iter().zip(picks) {
         let option = &r.options[p];
-        let total_cores: usize = (0..num_kinds)
-            .map(|k| option.erv.cores_of_kind(k) as usize)
-            .sum();
-        let mut cores = Vec::with_capacity(total_cores);
-        for (kind, cursor) in next_free.iter_mut().enumerate() {
-            let kind_cores = match avail {
-                Some(a) => a.cores_of_kind(hw, CoreKind(kind))?,
-                None => hw.cores_of_kind(CoreKind(kind))?,
-            };
+        let mut cores = Vec::with_capacity(option.erv.total_cores() as usize);
+        let mut hw_threads = Vec::with_capacity(option.erv.total_threads() as usize);
+        for (kind, (free, cursor)) in kind_cores.iter().zip(&mut next_free).enumerate() {
             let needed = option.erv.cores_of_kind(kind) as usize;
             if needed == 0 {
                 continue;
             }
             let start = if co_allocated { 0 } else { *cursor };
-            if start + needed > kind_cores.len() {
+            if start + needed > free.len() {
                 return Err(HarpError::InsufficientResources {
                     detail: format!(
                         "kind {kind}: need {needed} cores starting at {start}, have {}",
-                        kind_cores.len()
+                        free.len()
                     ),
                 });
             }
-            let granted = &kind_cores[start..start + needed];
+            let granted = &free[start..start + needed];
             if !co_allocated {
                 *cursor += needed;
             }
             cores.extend_from_slice(granted);
+            push_kind_threads(&option.erv, kind, granted, hw, &mut hw_threads)?;
         }
-        cores.sort();
-        let hw_threads = hw_threads_for(&option.erv, &cores, hw)?;
+        // Kinds are visited in order and numbering is cluster-major, so
+        // both lists are ascending already; the sorts only pin that.
+        cores.sort_unstable();
+        hw_threads.sort_unstable_by_key(|t| t.0);
         out.insert(
             r.app,
             Choice {
@@ -126,7 +141,7 @@ mod tests {
     use super::*;
     use crate::AllocOption;
     use harp_platform::presets;
-    use harp_types::{CoreId, ExtResourceVector, OpId};
+    use harp_types::{ExtResourceVector, OpId};
 
     fn req(app: u64, flat: &[u32], hw: &HardwareDescription) -> AllocRequest {
         AllocRequest {

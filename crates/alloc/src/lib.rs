@@ -71,7 +71,7 @@ use std::collections::HashMap;
 
 /// One candidate operating point of an application, as seen by the
 /// allocator: its id, its energy-utility cost and its resource demand.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllocOption {
     /// Operating-point id within the application's table.
     pub op: OpId,
@@ -90,7 +90,7 @@ impl AllocOption {
 }
 
 /// The candidate set of one application.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllocRequest {
     /// The application.
     pub app: AppId,
@@ -183,6 +183,12 @@ pub fn allocate_warm(
 /// co-allocation — tearing up every application's placement is exactly the
 /// wrong response to a transient time crunch. The caller keeps its previous
 /// feasible allocation and re-solves on the next round.
+///
+/// An instance that the necessary-condition bounds already prove infeasible
+/// (per-kind minima, or the sum of every application's smallest option in
+/// total cores, exceed capacity) never reaches the solver: it co-allocates
+/// at once whatever the deadline, since no budget could have found a
+/// disjoint placement.
 pub fn allocate_warm_deadline(
     requests: &[AllocRequest],
     hw: &HardwareDescription,
@@ -265,13 +271,18 @@ fn allocate_impl(
         });
     }
 
-    // Necessary feasibility condition: per kind, even if every app chose
-    // its kind-minimal option, does the demand fit? (A lower bound — the
-    // real selection couples kinds, which the solvers handle.) Reads the
-    // per-kind counts straight off the extended vectors instead of
-    // materializing a `ResourceVector` per option.
+    // Necessary feasibility conditions (lower bounds — the real selection
+    // couples kinds, which the solvers handle). Per kind: even if every app
+    // chose its kind-minimal option, does the demand fit? And over all
+    // kinds: every selection needs at least each app's smallest option in
+    // total cores, so that sum must fit the machine. The second catches
+    // profiles whose per-kind minima are all zero (a P-only option beside
+    // an E-only one) before the solver burns its whole schedule proving the
+    // same. Both read the counts straight off the extended vectors instead
+    // of materializing a `ResourceVector` per option.
     let num_kinds = capacity.num_kinds();
     let mut lower_bound = vec![0u32; num_kinds];
+    let mut min_total_cores = 0u32;
     for r in requests {
         for (k, lb) in lower_bound.iter_mut().enumerate() {
             let min_k = r
@@ -282,11 +293,19 @@ fn allocate_impl(
                 .expect("validated nonempty");
             *lb += min_k;
         }
+        let min_total = r
+            .options
+            .iter()
+            .map(|o| o.erv.total_cores())
+            .min()
+            .expect("validated nonempty");
+        min_total_cores = min_total_cores.saturating_add(min_total);
     }
-    let maybe_feasible = lower_bound
-        .iter()
-        .zip(capacity.counts())
-        .all(|(lb, cap)| lb <= cap);
+    let maybe_feasible = min_total_cores <= capacity.total()
+        && lower_bound
+            .iter()
+            .zip(capacity.counts())
+            .all(|(lb, cap)| lb <= cap);
 
     let solved = if maybe_feasible {
         match solvers::select_opts(requests, &capacity, solver, warm, opts) {
@@ -325,12 +344,12 @@ fn allocate_impl(
                 .options
                 .iter()
                 .enumerate()
-                .filter(|(_, o)| o.demand().fits_within(&capacity))
+                .filter(|(_, o)| o.erv.fits_within(&capacity))
                 .min_by(|(_, a), (_, b)| {
                     a.cost
                         .partial_cmp(&b.cost)
                         .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.demand().total().cmp(&b.demand().total()))
+                        .then(a.erv.total_cores().cmp(&b.erv.total_cores()))
                 })
                 .map(|(i, _)| i)
                 .ok_or_else(|| HarpError::InsufficientResources {
@@ -365,7 +384,7 @@ fn validate_requests(requests: &[AllocRequest], hw: &HardwareDescription) -> Res
             return Err(HarpError::other(format!("{} has no options", r.app)));
         }
         for o in &r.options {
-            if o.erv.shape() != shape {
+            if !o.erv.has_shape(&shape) {
                 return Err(HarpError::ShapeMismatch {
                     detail: format!("option of {} has wrong shape", r.app),
                 });
@@ -544,6 +563,58 @@ mod tests {
         for c in a.choices.values() {
             assert_eq!(c.cores.len(), 2);
         }
+    }
+
+    #[test]
+    fn provably_infeasible_instances_skip_the_solver() {
+        let hw = presets::raptor_lake(); // 8 P + 16 E
+        let shape = hw.erv_shape();
+        // The storm profile: 4 P-cores or 8 E-cores. Every per-kind minimum
+        // is zero, so only the total-cores bound sees that seven such apps
+        // (7 x 4 = 28 > 24 cores) cannot be placed disjointly.
+        let storm = |n: u64| -> Vec<AllocRequest> {
+            (1..=n)
+                .map(|i| {
+                    req(
+                        i,
+                        vec![opt(&shape, &[0, 4, 0], 1.0), opt(&shape, &[0, 0, 8], 1.5)],
+                    )
+                })
+                .collect()
+        };
+        let one_iter = SolveDeadline::iterations(1);
+        // A solver that ran would exhaust a 1-iteration budget and report
+        // `DeadlineExceeded`; the bound co-allocates without calling it.
+        let mut warm = WarmStart::new();
+        let a = allocate_warm_deadline(&storm(7), &hw, SolverKind::Lagrangian, &mut warm, one_iter)
+            .unwrap();
+        assert!(a.co_allocated);
+        assert_eq!(a.choices.len(), 7);
+        assert_eq!(a.solve_work, 1.0);
+        assert_eq!(
+            warm.memo_hits() + warm.certified_exits() + warm.full_solves(),
+            0
+        );
+        // Same picks and grants as the unbudgeted co-allocation.
+        let free = allocate(&storm(7), &hw, SolverKind::Lagrangian).unwrap();
+        assert!(free.co_allocated);
+        for (app, c) in &free.choices {
+            assert_eq!(a.choices[app].op, c.op);
+            assert_eq!(a.choices[app].cores, c.cores);
+        }
+        // The bound is only a necessary condition: a contended instance it
+        // cannot rule out (3 apps: 12 <= 24 cores) still goes to the solver
+        // and still reports an exhausted budget as such.
+        let mut warm = WarmStart::new();
+        assert!(matches!(
+            allocate_warm_deadline(&storm(3), &hw, SolverKind::Lagrangian, &mut warm, one_iter),
+            Err(HarpError::DeadlineExceeded { .. })
+        ));
+        assert!(
+            !allocate(&storm(3), &hw, SolverKind::Lagrangian)
+                .unwrap()
+                .co_allocated
+        );
     }
 
     #[test]

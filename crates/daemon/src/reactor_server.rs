@@ -176,15 +176,28 @@ impl Router {
         }
     }
 
-    /// Routes encoded frame bytes to whichever shard owns `app`'s
-    /// session. Silently drops when the session has no live route — the
-    /// same contract the old stream map had for departed clients.
-    pub(crate) fn deliver(&self, app: AppId, bytes: Vec<u8>) {
-        let Some(&shard) = lock(&self.routes).get(&app) else {
-            return;
-        };
-        if let Some(h) = self.handles().get(shard) {
-            h.push(ShardMsg::Deliver(app, bytes));
+    /// Routes one round's encoded frames to the shards owning their
+    /// sessions: a single pass over the route table, then one inbox push
+    /// and one wake per shard with a recipient, however many frames it
+    /// receives. Frames keep their order within a shard. A frame whose
+    /// session has no live route is silently dropped — the same contract
+    /// the old stream map had for departed clients.
+    pub(crate) fn deliver_round(&self, frames: Vec<(AppId, Vec<u8>)>) {
+        let handles = self.handles();
+        let mut per_shard: Vec<Vec<ShardMsg>> = handles.iter().map(|_| Vec::new()).collect();
+        {
+            let routes = lock(&self.routes);
+            for (app, bytes) in frames {
+                if let Some(batch) = routes.get(&app).and_then(|&s| per_shard.get_mut(s)) {
+                    batch.push(ShardMsg::Deliver(app, bytes));
+                }
+            }
+        }
+        for (h, batch) in handles.iter().zip(per_shard) {
+            if !batch.is_empty() {
+                lock(&h.inbox).extend(batch);
+                h.waker.wake();
+            }
         }
     }
 

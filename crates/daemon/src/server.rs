@@ -265,16 +265,19 @@ impl Shared {
     }
 
     /// Relays the RM output to every affected application: each directive
-    /// is encoded once and handed to the owning shard's inbox. Routes whose
+    /// is encoded once and the round is handed over shard by shard, one
+    /// inbox push and one wake per shard (a wake per directive made a
+    /// 129-session round cost 129 pipe writes and as many shard wakeups,
+    /// and left the round's latency to how those interleaved). Routes whose
     /// session is gone are dropped by the shard (and counted as pruned);
     /// the session itself is deregistered when its shard observes the
     /// hangup.
     pub(crate) fn route(&self, out: &RmOutput) {
-        for d in &out.directives {
-            if let Ok(bytes) = encode_frame(&directive_to_activate(d)) {
-                self.router.deliver(d.app, bytes);
-            }
-        }
+        let frames = out.directives.iter().filter_map(|d| {
+            let bytes = encode_frame(&directive_to_activate(d)).ok()?;
+            Some((d.app, bytes))
+        });
+        self.router.deliver_round(frames.collect());
     }
 }
 

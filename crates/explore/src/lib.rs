@@ -36,6 +36,7 @@ use harp_types::{
     ErvShape, ExtResourceVector, HarpError, NonFunctional, OpId, OperatingPointTable,
     ResourceVector, Result,
 };
+use std::sync::Arc;
 
 /// Maturity of an application's operating-point table (paper §5.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,8 +108,13 @@ struct Campaign {
 #[derive(Debug)]
 pub struct Explorer {
     shape: ErvShape,
-    candidates: Vec<ExtResourceVector>,
+    /// The machine's candidate space, shared by every explorer of the
+    /// machine (see [`Explorer::candidate_space`]).
+    candidates: Arc<[ExtResourceVector]>,
     table: OperatingPointTable,
+    /// Bumped by every method that changes `table`, so callers can key
+    /// anything derived from the table on it.
+    generation: u64,
     cfg: ExplorationConfig,
     campaign: Option<Campaign>,
     total_samples: u64,
@@ -127,10 +133,38 @@ impl Explorer {
         capacity: &ResourceVector,
         cfg: ExplorationConfig,
     ) -> Result<Self> {
-        let candidates: Vec<ExtResourceVector> = ExtResourceVector::enumerate(shape, capacity)?
+        Self::with_candidates(shape, Self::candidate_space(shape, capacity)?, cfg)
+    }
+
+    /// Every non-zero extended resource vector within `capacity`: the
+    /// candidate space of a machine. It is a pure function of the machine,
+    /// so a manager of many applications builds it once and hands it to
+    /// each [`Explorer::with_candidates`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HarpError::ShapeMismatch`] if shape and capacity disagree.
+    pub fn candidate_space(
+        shape: &ErvShape,
+        capacity: &ResourceVector,
+    ) -> Result<Arc<[ExtResourceVector]>> {
+        Ok(ExtResourceVector::enumerate(shape, capacity)?
             .into_iter()
             .filter(|e| !e.is_zero())
-            .collect();
+            .collect())
+    }
+
+    /// Creates an explorer over a shared candidate space built by
+    /// [`Explorer::candidate_space`] for the same `shape`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HarpError::Other`] if the candidate space is empty.
+    pub fn with_candidates(
+        shape: &ErvShape,
+        candidates: Arc<[ExtResourceVector]>,
+        cfg: ExplorationConfig,
+    ) -> Result<Self> {
         if candidates.is_empty() {
             return Err(HarpError::other("empty exploration candidate space"));
         }
@@ -138,6 +172,7 @@ impl Explorer {
             shape: shape.clone(),
             candidates,
             table: OperatingPointTable::new(),
+            generation: 0,
             cfg,
             campaign: None,
             total_samples: 0,
@@ -154,11 +189,29 @@ impl Explorer {
         for (erv, nfc) in points {
             self.table.record_measurement(erv, nfc);
         }
+        self.generation += 1;
     }
 
     /// The application's operating-point table (measured + predicted).
     pub fn table(&self) -> &OperatingPointTable {
         &self.table
+    }
+
+    /// The table's generation: it differs between two reads iff a method
+    /// that changes the table ([`Explorer::seed_measured`], a completed
+    /// [`Explorer::record_sample`] campaign, [`Explorer::record_ambient`],
+    /// a successful [`Explorer::refresh_predictions`]) ran in between.
+    /// Whatever a caller derives from the table stays valid while the
+    /// generation does.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Consumes the explorer and returns its table with the predictions
+    /// stripped: the learned profile to persist (predictions are recomputed
+    /// from the measured points).
+    pub fn into_table(self) -> OperatingPointTable {
+        self.table.into_measured()
     }
 
     /// Total samples recorded so far.
@@ -249,6 +302,7 @@ impl Explorer {
                 done.ema_power.value().unwrap_or(0.0),
             );
             self.table.record_measurement(done.erv, nfc);
+            self.generation += 1;
             Ok(SampleOutcome::TargetDone)
         } else {
             Ok(SampleOutcome::Continue)
@@ -260,6 +314,7 @@ impl Explorer {
     /// on its allocation, §6.5).
     pub fn record_ambient(&mut self, erv: &ExtResourceVector, utility: f64, power: f64) {
         self.total_samples += 1;
+        self.generation += 1;
         if let Some(id) = self.table.find_by_erv(erv) {
             if let Some(op) = self.table.get(id) {
                 let alpha = self.cfg.ema_alpha;
@@ -283,8 +338,9 @@ impl Explorer {
     /// measurements.
     pub fn refresh_predictions(&mut self) -> Option<NfcModel> {
         let model = self.fit_model()?;
+        self.generation += 1;
         self.table.clear_predictions();
-        for c in &self.candidates {
+        for c in self.candidates.iter() {
             if self
                 .table
                 .find_by_erv(c)
@@ -659,6 +715,123 @@ mod tests {
         // Moves toward the new observation but only by alpha.
         assert!(after.utility > before.utility);
         assert!(after.utility < before.utility * 1.2);
+    }
+
+    /// Table contents as bits, to tell "changed" from "unchanged" exactly.
+    fn table_bits(ex: &Explorer) -> Vec<(Vec<u32>, u64, u64, bool)> {
+        ex.table()
+            .iter()
+            .map(|(id, p)| {
+                (
+                    p.erv.flat(),
+                    p.nfc.utility.to_bits(),
+                    p.nfc.power.to_bits(),
+                    ex.table().is_measured(id),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn generation_moves_exactly_when_the_table_does() {
+        let mut ex = mk_explorer();
+        let cap = ResourceVector::new(vec![2, 2]);
+        let shape = presets::tiny_test().erv_shape();
+        let mut seen = vec![ex.generation()];
+        // Runs a mutating step and requires a generation never seen before.
+        let mut bumped = |ex: &mut Explorer, what: &str, step: &mut dyn FnMut(&mut Explorer)| {
+            step(ex);
+            assert!(
+                !seen.contains(&ex.generation()),
+                "{what} left the generation at a used value"
+            );
+            seen.push(ex.generation());
+        };
+
+        bumped(&mut ex, "seed_measured", &mut |ex| {
+            let erv = ExtResourceVector::from_flat(&shape, &[0, 1, 0]).unwrap();
+            ex.seed_measured([(erv, NonFunctional::new(3.0, 2.0))]);
+        });
+        bumped(&mut ex, "a completed campaign", &mut |ex| {
+            let t = ex.begin_target(&cap).unwrap();
+            let (u, p) = truth(&t);
+            let before = (ex.generation(), table_bits(ex));
+            // Samples short of the campaign's end leave table and
+            // generation alone; only the completing one moves them.
+            for _ in 1..ex.config().measurements_per_point {
+                assert_eq!(ex.record_sample(u, p).unwrap(), SampleOutcome::Continue);
+                assert_eq!((ex.generation(), table_bits(ex)), before);
+            }
+            assert_eq!(ex.record_sample(u, p).unwrap(), SampleOutcome::TargetDone);
+        });
+        bumped(&mut ex, "record_ambient on a measured point", &mut |ex| {
+            let erv = ExtResourceVector::from_flat(&shape, &[0, 1, 0]).unwrap();
+            ex.record_ambient(&erv, 4.0, 2.5);
+        });
+        bumped(&mut ex, "record_ambient on a new point", &mut |ex| {
+            let erv = ExtResourceVector::from_flat(&shape, &[0, 0, 2]).unwrap();
+            ex.record_ambient(&erv, 1.0, 0.5);
+        });
+        for _ in 0..3 {
+            bumped(&mut ex, "a completed campaign", &mut |ex| {
+                run_campaign(ex, &cap).unwrap();
+            });
+        }
+        bumped(&mut ex, "refresh_predictions", &mut |ex| {
+            assert!(ex.refresh_predictions().is_some());
+        });
+
+        // Read-only methods, a failed sample, campaign starts and a refit
+        // that cannot run: table and generation both stay put.
+        let before = (ex.generation(), table_bits(&ex));
+        let _ = (ex.table(), ex.total_samples(), ex.stage(), ex.config());
+        let _ = (ex.current_target(), ex.pareto_options());
+        assert!(ex.record_sample(1.0, 1.0).is_err());
+        ex.begin_target(&cap).unwrap();
+        assert_eq!((ex.generation(), table_bits(&ex)), before);
+        let mut fresh = mk_explorer();
+        let before = (fresh.generation(), table_bits(&fresh));
+        assert!(fresh.refresh_predictions().is_none());
+        assert_eq!((fresh.generation(), table_bits(&fresh)), before);
+    }
+
+    #[test]
+    fn explorers_share_one_candidate_space() {
+        let hw = presets::raptor_lake();
+        let (shape, capacity) = (hw.erv_shape(), hw.capacity());
+        let space = Explorer::candidate_space(&shape, &capacity).unwrap();
+        assert_eq!(space.len(), 45 * 17 - 1); // P histograms x E counts, minus zero
+        let mut shared =
+            Explorer::with_candidates(&shape, Arc::clone(&space), ExplorationConfig::default())
+                .unwrap();
+        let mut own = Explorer::new(&shape, &capacity, ExplorationConfig::default()).unwrap();
+        // Same targets in the same order as an explorer that enumerated
+        // the space itself, and no copy of the space per explorer.
+        for _ in 0..4 {
+            let a = run_campaign(&mut shared, &capacity).unwrap();
+            let b = run_campaign(&mut own, &capacity).unwrap();
+            assert_eq!(a, b);
+        }
+        assert_eq!(Arc::strong_count(&space), 2);
+    }
+
+    #[test]
+    fn into_table_keeps_exactly_the_measured_points() {
+        let mut ex = mk_explorer();
+        let cap = ResourceVector::new(vec![2, 2]);
+        for _ in 0..6 {
+            run_campaign(&mut ex, &cap);
+        }
+        ex.refresh_predictions().unwrap();
+        assert!(ex.table().len() > ex.table().measured_count());
+        let measured: Vec<_> = ex.table().iter_measured().map(|(_, p)| p.clone()).collect();
+        let table = ex.into_table();
+        assert_eq!(table.len(), 6);
+        assert_eq!(table.measured_count(), 6);
+        assert_eq!(
+            table.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>(),
+            measured
+        );
     }
 
     #[test]

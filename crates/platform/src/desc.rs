@@ -201,24 +201,49 @@ impl HardwareDescription {
         Err(HarpError::not_found(format!("{thread}")))
     }
 
-    /// The hardware-thread ids of physical core `core`.
+    /// The raw hardware-thread ids of physical core `core`, as a range
+    /// (threads of a core are consecutive).
     ///
     /// # Errors
     ///
     /// Returns [`HarpError::NotFound`] if the core id is out of range.
-    pub fn threads_of_core(&self, core: CoreId) -> Result<Vec<HwThreadId>> {
+    pub fn thread_range_of_core(&self, core: CoreId) -> Result<std::ops::Range<usize>> {
         let mut thread_base = 0usize;
         let mut core_base = 0usize;
         for c in &self.clusters {
             if core.0 < core_base + c.cores as usize {
                 let within = core.0 - core_base;
                 let start = thread_base + within * c.smt_width;
-                return Ok((start..start + c.smt_width).map(HwThreadId).collect());
+                return Ok(start..start + c.smt_width);
             }
             thread_base += c.hw_threads() as usize;
             core_base += c.cores as usize;
         }
         Err(HarpError::not_found(format!("{core}")))
+    }
+
+    /// The hardware-thread ids of physical core `core`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HarpError::NotFound`] if the core id is out of range.
+    pub fn threads_of_core(&self, core: CoreId) -> Result<Vec<HwThreadId>> {
+        Ok(self.thread_range_of_core(core)?.map(HwThreadId).collect())
+    }
+
+    /// The raw core ids belonging to `kind`, as a range (numbering is
+    /// cluster-major).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HarpError::UnknownCoreKind`] if `kind` is out of range.
+    pub fn core_range_of_kind(&self, kind: CoreKind) -> Result<std::ops::Range<usize>> {
+        let n = self.cluster(kind)?.cores as usize;
+        let base: usize = self.clusters[..kind.0]
+            .iter()
+            .map(|c| c.cores as usize)
+            .sum();
+        Ok(base..base + n)
     }
 
     /// The core ids belonging to `kind`, in ascending order.
@@ -227,13 +252,7 @@ impl HardwareDescription {
     ///
     /// Returns [`HarpError::UnknownCoreKind`] if `kind` is out of range.
     pub fn cores_of_kind(&self, kind: CoreKind) -> Result<Vec<CoreId>> {
-        self.cluster(kind)?;
-        let mut base = 0usize;
-        for c in &self.clusters[..kind.0] {
-            base += c.cores as usize;
-        }
-        let n = self.clusters[kind.0].cores as usize;
-        Ok((base..base + n).map(CoreId).collect())
+        Ok(self.core_range_of_kind(kind)?.map(CoreId).collect())
     }
 
     /// Checks internal consistency (positive rates/powers/frequencies,
@@ -368,6 +387,11 @@ mod tests {
             vec![HwThreadId(0), HwThreadId(1)]
         );
         assert_eq!(hw.threads_of_core(CoreId(8)).unwrap(), vec![HwThreadId(16)]);
+        assert_eq!(hw.thread_range_of_core(CoreId(7)).unwrap(), 14..16);
+        assert!(hw.thread_range_of_core(CoreId(24)).is_err());
+        assert_eq!(hw.core_range_of_kind(CoreKind(0)).unwrap(), 0..8);
+        assert_eq!(hw.core_range_of_kind(CoreKind(1)).unwrap(), 8..24);
+        assert!(hw.core_range_of_kind(CoreKind(2)).is_err());
         assert_eq!(
             hw.cores_of_kind(CoreKind(1)).unwrap().first(),
             Some(&CoreId(8))

@@ -269,8 +269,8 @@ impl CoreAvailability {
     /// kind of `hw`.
     pub fn cores_of_kind(&self, hw: &HardwareDescription, kind: CoreKind) -> Result<Vec<CoreId>> {
         Ok(hw
-            .cores_of_kind(kind)?
-            .into_iter()
+            .core_range_of_kind(kind)?
+            .map(CoreId)
             .filter(|c| self.is_available(*c))
             .collect())
     }

@@ -12,11 +12,12 @@ use harp_energy::{EnergyAttributor, EnergyLedger, LedgerTick};
 use harp_explore::{ExplorationConfig, Explorer, SampleOutcome, Stage};
 use harp_platform::{CoreAvailability, FaultState, HardwareDescription, CAP_NOMINAL_PERMILLE};
 use harp_types::{
-    energy_utility_cost, AppId, CoreId, ErvShape, ExtResourceVector, FaultEvent, HarpError,
-    HwThreadId, NonFunctional, OperatingPointTable, ResourceVector, Result,
+    energy_utility_cost, AppId, CoreId, CoreKind, ErvShape, ExtResourceVector, FaultEvent,
+    HarpError, HwThreadId, NonFunctional, OperatingPointTable, ResourceVector, Result,
 };
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// RM configuration.
 #[derive(Debug, Clone)]
@@ -169,6 +170,63 @@ struct Session {
     /// preferred point before a weight > 1 session. Exactly 1.0 for the
     /// default class, which leaves costs bit-identical.
     priority: f64,
+    /// The session's allocation request as last built (`None` until its
+    /// first round); see [`Session::lend_request`].
+    request: Option<CachedRequest>,
+}
+
+/// A session's unfiltered allocation request — the Pareto front of its
+/// table, costed by Eq. 2 and weighted by its priority — kept across
+/// rounds for as long as neither input moves.
+struct CachedRequest {
+    /// What the options were built from: the explorer's table generation
+    /// and the priority weight's bits.
+    key: (u64, u64),
+    /// `None` when the table offers nothing to allocate from, and while
+    /// the request is lent to a running round.
+    request: Option<AllocRequest>,
+}
+
+impl Session {
+    /// Takes the session's request for one allocation round, rebuilding it
+    /// first (and counting that in `rebuilt`) iff the table or the priority
+    /// changed since it was built. The round owns the request while the
+    /// solver reads it and hands it back to `request`.
+    fn lend_request(&mut self, app: AppId, rebuilt: &mut u64) -> Option<AllocRequest> {
+        let key = (self.explorer.generation(), self.priority.to_bits());
+        if self.request.as_ref().map(|c| c.key) != Some(key) {
+            *rebuilt += 1;
+            self.request = Some(CachedRequest {
+                key,
+                request: build_request(app, &self.explorer, self.priority),
+            });
+        }
+        self.request.as_mut().and_then(|c| c.request.take())
+    }
+}
+
+/// The allocation request of one session: the Pareto-optimal operating
+/// points of its table as solver options, or `None` when there are none.
+fn build_request(app: AppId, explorer: &Explorer, priority: f64) -> Option<AllocRequest> {
+    let v_max = explorer.table().max_utility();
+    if v_max <= 0.0 {
+        return None;
+    }
+    let options: Vec<AllocOption> = explorer
+        .pareto_options()
+        .into_iter()
+        .map(|(op, erv, nfc)| AllocOption {
+            op,
+            // Priority-weighted: scaling a session's costs up amplifies
+            // the penalty of moving it off its preferred point, so
+            // λ-pressure under contention downgrades low-weight sessions
+            // first. Weight 1.0 multiplies out exactly (bit-identical to
+            // the unweighted cost).
+            cost: energy_utility_cost(nfc.utility, nfc.power, v_max) * priority,
+            erv,
+        })
+        .collect();
+    (!options.is_empty()).then_some(AllocRequest { app, options })
 }
 
 /// A core enters probation instead of returning to service once it has
@@ -199,6 +257,11 @@ struct CoreHealth {
 /// [`RmCore::tick`] and relay the returned [`Directive`]s.
 pub struct RmCore {
     hw: HardwareDescription,
+    /// `hw.erv_shape()`, built once.
+    shape: ErvShape,
+    /// The machine's exploration candidate space: built by the first
+    /// registration, then shared by every session's explorer.
+    candidates: Option<Arc<[ExtResourceVector]>>,
     cfg: RmConfig,
     sessions: HashMap<AppId, Session>,
     attributor: EnergyAttributor,
@@ -244,6 +307,9 @@ pub struct RmCore {
     health: Vec<CoreHealth>,
     /// Sessions migrated off failing cores so far (`rm.migrations`).
     migrations: u64,
+    /// Session requests rebuilt from their tables so far
+    /// (`rm.option_sets_rebuilt`); a round rebuilds only what changed.
+    option_sets_rebuilt: u64,
 }
 
 impl std::fmt::Debug for RmCore {
@@ -262,8 +328,11 @@ impl RmCore {
         let attributor = EnergyAttributor::new(&hw);
         let faults = FaultState::new(&hw);
         let health = vec![CoreHealth::default(); hw.num_cores()];
+        let shape = hw.erv_shape();
         RmCore {
             hw,
+            shape,
+            candidates: None,
             cfg,
             sessions: HashMap::new(),
             attributor,
@@ -284,6 +353,7 @@ impl RmCore {
             faults,
             health,
             migrations: 0,
+            option_sets_rebuilt: 0,
         }
     }
 
@@ -462,9 +532,10 @@ impl RmCore {
         provides_utility: bool,
         resume_token: u64,
     ) -> Result<RmOutput> {
-        let _sp = harp_obs::span(harp_obs::Subsystem::Rm, "register")
-            .field("app", app.0)
-            .field("name", name.to_string());
+        let mut sp = harp_obs::span(harp_obs::Subsystem::Rm, "register").field("app", app.0);
+        if sp.is_active() {
+            sp.set_field("name", name.to_string());
+        }
         if self.sessions.contains_key(&app) {
             return Err(HarpError::other(format!("{app} already registered")));
         }
@@ -473,11 +544,15 @@ impl RmCore {
                 "resume token {resume_token} already bound"
             )));
         }
-        let mut explorer = Explorer::new(
-            &self.hw.erv_shape(),
-            &self.hw.capacity(),
-            self.cfg.exploration.clone(),
-        )?;
+        let candidates = match &self.candidates {
+            Some(space) => Arc::clone(space),
+            None => {
+                let space = Explorer::candidate_space(&self.shape, &self.hw.capacity())?;
+                self.candidates.insert(space).clone()
+            }
+        };
+        let mut explorer =
+            Explorer::with_candidates(&self.shape, candidates, self.cfg.exploration.clone())?;
         if let Some(profile) = self.profiles.get(name) {
             explorer.seed_measured(profile.iter_measured().map(|(_, p)| (p.erv.clone(), p.nfc)));
         }
@@ -493,6 +568,7 @@ impl RmCore {
                 co_allocated: false,
                 resume_token,
                 priority: 1.0,
+                request: None,
             },
         );
         if resume_token != 0 {
@@ -554,18 +630,17 @@ impl RmCore {
         let _sp = harp_obs::span(harp_obs::Subsystem::Rm, "submit_points")
             .field("app", app.0)
             .field("points", points.len());
-        let shape = self.hw.erv_shape();
         let session = self
             .sessions
             .get_mut(&app)
             .ok_or_else(|| HarpError::not_found(format!("{app}")))?;
         for (erv, nfc) in &points {
-            if erv.shape() != shape {
+            if !erv.has_shape(&self.shape) {
                 return Err(HarpError::ShapeMismatch {
                     detail: format!(
                         "submitted point shape {:?} does not match machine shape {:?}",
                         erv.shape(),
-                        shape
+                        self.shape
                     ),
                 });
             }
@@ -1071,19 +1146,17 @@ impl RmCore {
     fn next_target_directive(&mut self, app: AppId) -> Option<Directive> {
         // Disjoint field borrows: the machine description is only read
         // while the session is mutated (cloning it per call was churn).
-        let hw = &self.hw;
+        let (hw, shape) = (&self.hw, &self.shape);
         let session = self.sessions.get_mut(&app)?;
         let envelope_rv = cores_to_rv(&session.envelope, hw);
-        let erv = match session.explorer.begin_target(&envelope_rv) {
-            Some(t) => t,
-            None => {
-                // Candidate space within the envelope exhausted: run on the
-                // full envelope until the next allocation round.
-                full_envelope_erv(&session.envelope, hw)
-            }
-        };
+        // With the candidate space within the envelope exhausted, run on
+        // the full envelope until the next allocation round.
+        let erv = session
+            .explorer
+            .begin_target(&envelope_rv)
+            .unwrap_or_else(|| full_envelope_erv(&session.envelope, hw, shape));
         session.active_erv = Some(erv.clone());
-        Some(directive_for(app, &erv, &session.envelope, hw))
+        Some(directive_for(app, erv, &session.envelope, hw))
     }
 
     /// Runs one allocation round (paper §4.2 + §5.3 integration): MMKP over
@@ -1096,69 +1169,67 @@ impl RmCore {
         // Only a degraded platform takes the masked path, so the healthy
         // solve stays bit-identical to the pre-fault code.
         let degraded_hw = !avail.is_full();
-        let eff_capacity = avail.capacity(&self.hw);
-        let hw = &self.hw;
-        let mut out = RmOutput {
-            directives: Vec::new(),
-            solves: 1,
-            solve_work: 0.0, // set from the allocation below
-            degraded: false,
-            energy: None,
-        };
         let mut ids: Vec<AppId> = self.sessions.keys().copied().collect();
-        ids.sort();
+        ids.sort_unstable();
 
-        // 1. Allocation requests from sessions with usable tables.
-        let mut requests = Vec::new();
+        // 1. Allocation requests from sessions with usable tables. Each
+        //    session lends the request it keeps; only one whose table or
+        //    priority changed since its last round builds anything here.
+        let mut requests = Vec::with_capacity(ids.len());
+        let mut rebuilt = 0u64;
         for &app in &ids {
-            let s = &self.sessions[&app];
-            let table = s.explorer.table();
-            if table.max_utility() <= 0.0 {
-                continue;
-            }
-            let v_max = table.max_utility();
-            let options: Vec<AllocOption> = s
-                .explorer
-                .pareto_options()
-                .into_iter()
-                .filter(|(_, erv, _)| !erv.is_zero())
-                // Under shrunk capacity, drop options that no longer fit
-                // the usable cores; an app left with no options falls
-                // through to the co-allocated whole-available-machine
-                // envelope below instead of failing the solve.
-                .filter(|(_, erv, _)| {
-                    !degraded_hw || erv.resource_vector().fits_within(&eff_capacity)
-                })
-                .map(|(op, erv, nfc)| AllocOption {
-                    op,
-                    // Priority-weighted: scaling a session's costs up
-                    // amplifies the penalty of moving it off its preferred
-                    // point, so λ-pressure under contention downgrades
-                    // low-weight sessions first. Weight 1.0 multiplies out
-                    // exactly (bit-identical to the unweighted cost).
-                    cost: energy_utility_cost(nfc.utility, nfc.power, v_max) * s.priority,
-                    erv,
-                })
-                .collect();
-            if !options.is_empty() {
-                requests.push(AllocRequest { app, options });
-            }
+            let session = self.sessions.get_mut(&app).expect("session exists");
+            requests.extend(session.lend_request(app, &mut rebuilt));
         }
+        if rebuilt > 0 {
+            self.option_sets_rebuilt += rebuilt;
+            harp_obs::metrics::counter("rm.option_sets_rebuilt").add(rebuilt);
+        }
+        // Under shrunk capacity the solver sees a per-round view without
+        // the options that no longer fit the usable cores; an app left
+        // with no options falls through to the co-allocated
+        // whole-available-machine envelope below instead of failing the
+        // solve. The kept requests stay unfiltered: capacity may return.
+        let fitting: Option<Vec<AllocRequest>> = degraded_hw.then(|| {
+            let eff_capacity = avail.capacity(&self.hw);
+            requests
+                .iter()
+                .filter_map(|r| {
+                    let options: Vec<AllocOption> = r
+                        .options
+                        .iter()
+                        .filter(|o| o.erv.fits_within(&eff_capacity))
+                        .cloned()
+                        .collect();
+                    (!options.is_empty()).then_some(AllocRequest {
+                        app: r.app,
+                        options,
+                    })
+                })
+                .collect()
+        });
+        let solver_view = fitting.as_deref().unwrap_or(&requests);
 
         let opts = SolveOpts {
             deadline: self.solve_deadline(),
             threads: self.cfg.solver_threads,
             ..SolveOpts::default()
         };
-        let avail_opt = degraded_hw.then_some(&avail);
-        let allocation = match allocate_avail(
-            &requests,
-            hw,
-            avail_opt,
+        let result = allocate_avail(
+            solver_view,
+            &self.hw,
+            degraded_hw.then_some(&avail),
             self.cfg.solver,
             &mut self.warm,
             opts,
-        ) {
+        );
+        let num_requests = solver_view.len();
+        for request in requests {
+            let session = self.sessions.get_mut(&request.app);
+            let kept = session.and_then(|s| s.request.as_mut());
+            kept.expect("lent by this session").request = Some(request);
+        }
+        let mut allocation = match result {
             Ok(a) => a,
             Err(HarpError::DeadlineExceeded { .. }) => {
                 drop(sp);
@@ -1167,83 +1238,95 @@ impl RmCore {
             Err(e) => return Err(e),
         };
         self.pending_resolve = false;
-        out.solve_work = allocation.solve_work;
         let co = allocation.co_allocated;
         if sp.is_active() {
-            sp.set_field("requests", requests.len());
+            sp.set_field("requests", num_requests);
             sp.set_field("co_allocated", co);
             sp.set_field("solve_work", allocation.solve_work);
         }
+        let (hw, shape) = (&self.hw, &self.shape);
 
-        // 2. Used cores and leftovers.
-        let mut used: Vec<bool> = vec![false; hw.num_cores()];
-        if !co {
-            for c in allocation.choices.values() {
-                for core in &c.cores {
-                    used[core.0] = true;
-                }
-            }
-        }
-        let leftovers: Vec<CoreId> = (0..hw.num_cores())
-            .map(CoreId)
-            .filter(|c| !used[c.0] && !co && avail.is_available(*c))
-            .collect();
-
-        // 3. Exploring sessions share the leftovers evenly (round-robin per
-        //    kind keeps the shares heterogeneous).
-        let exploring: Vec<AppId> = ids
-            .iter()
-            .copied()
-            .filter(|app| {
-                let s = &self.sessions[app];
-                !self.cfg.offline && s.explorer.stage() != Stage::Stable
-            })
-            .collect();
+        // 2. Exploring sessions share the cores the selection left over
+        //    evenly (round-robin per kind keeps the shares heterogeneous).
+        let exploring: Vec<AppId> = if self.cfg.offline {
+            Vec::new()
+        } else {
+            let measuring = |app: &AppId| self.sessions[app].explorer.stage() != Stage::Stable;
+            ids.iter().copied().filter(measuring).collect()
+        };
         let mut extra: HashMap<AppId, Vec<CoreId>> = HashMap::new();
-        if !exploring.is_empty() {
-            for (i, core) in leftovers.iter().enumerate() {
+        if !exploring.is_empty() && !co {
+            let mut used = vec![false; hw.num_cores()];
+            for core in allocation.choices.values().flat_map(|c| &c.cores) {
+                used[core.0] = true;
+            }
+            let leftovers = (0..hw.num_cores())
+                .map(CoreId)
+                .filter(|c| !used[c.0] && avail.is_available(*c));
+            for (i, core) in leftovers.enumerate() {
                 extra
                     .entry(exploring[i % exploring.len()])
                     .or_default()
-                    .push(*core);
+                    .push(core);
             }
         }
 
-        // 4. Build envelopes and activations.
+        // 3. Build envelopes and activations.
+        let mut out = RmOutput {
+            directives: Vec::with_capacity(ids.len()),
+            solves: 1,
+            solve_work: allocation.solve_work,
+            degraded: false,
+            energy: None,
+        };
         for &app in &ids {
-            let choice = allocation.choices.get(&app);
-            let mut envelope: Vec<CoreId> = choice.map(|c| c.cores.clone()).unwrap_or_default();
-            if let Some(more) = extra.get(&app) {
-                envelope.extend(more.iter().copied());
-            }
-            let session_co = if envelope.is_empty() {
-                // Nothing at all for this app (e.g. empty table and no
-                // leftovers): co-allocate it onto the whole usable machine.
-                envelope = avail.available_cores();
-                true
-            } else {
-                co
-            };
-            envelope.sort();
-            let is_exploring = exploring.contains(&app);
+            // `exploring` is a subsequence of the sorted `ids`.
+            let measures = !co && exploring.binary_search(&app).is_ok();
             let session = self.sessions.get_mut(&app).expect("session exists");
-            session.envelope = envelope.clone();
-            session.co_allocated = session_co;
             session.samples_since_realloc = 0;
-
-            let erv = if is_exploring && !session_co {
-                let envelope_rv = cores_to_rv(&envelope, hw);
-                match session.explorer.begin_target(&envelope_rv) {
-                    Some(t) => t,
-                    None => full_envelope_erv(&envelope, hw),
+            let directive = match allocation.choices.remove(&app) {
+                // A session that is not measuring runs exactly its selected
+                // point on exactly the granted cores (leftovers only go to
+                // measuring sessions), so the choice is the activation,
+                // cores and threads as `assign_cores` laid them out.
+                Some(c) if !measures => {
+                    debug_assert!(!extra.contains_key(&app));
+                    session.envelope.clone_from(&c.cores);
+                    session.co_allocated = co;
+                    session.active_erv = Some(c.erv.clone());
+                    Directive::emit(app, c.erv, c.cores, c.hw_threads)
                 }
-            } else if let Some(c) = choice {
-                c.erv.clone()
-            } else {
-                full_envelope_erv(&envelope, hw)
+                // A measuring session picks its next target within its
+                // selected cores plus its share of the leftovers; a session
+                // the solver had nothing for runs its whole envelope.
+                choice => {
+                    let mut envelope = choice.map(|c| c.cores).unwrap_or_default();
+                    envelope.extend(extra.remove(&app).into_iter().flatten());
+                    let session_co = if envelope.is_empty() {
+                        // Nothing at all for this app (e.g. empty table and
+                        // no leftovers): co-allocate it onto the whole
+                        // usable machine.
+                        envelope = avail.available_cores();
+                        true
+                    } else {
+                        co
+                    };
+                    envelope.sort_unstable();
+                    let target = if measures && !session_co {
+                        let envelope_rv = cores_to_rv(&envelope, hw);
+                        session.explorer.begin_target(&envelope_rv)
+                    } else {
+                        None
+                    };
+                    let erv = target.unwrap_or_else(|| full_envelope_erv(&envelope, hw, shape));
+                    session.co_allocated = session_co;
+                    session.active_erv = Some(erv.clone());
+                    let directive = directive_for(app, erv, &envelope, hw);
+                    session.envelope = envelope;
+                    directive
+                }
             };
-            session.active_erv = Some(erv.clone());
-            out.directives.push(directive_for(app, &erv, &envelope, hw));
+            out.directives.push(directive);
         }
         Ok(out)
     }
@@ -1288,7 +1371,8 @@ impl RmCore {
             degraded: true,
             energy: None,
         };
-        let hw = &self.hw;
+        let usable = self.availability().available_cores();
+        let (hw, shape) = (&self.hw, &self.shape);
         for &app in ids {
             if self.last_directives.contains_key(&app) {
                 // The previous activation stays applied; nothing to send.
@@ -1297,14 +1381,13 @@ impl RmCore {
             // A new arrival with no prior activation must not be left
             // hanging until the re-solve: the whole usable machine,
             // co-allocated.
-            let envelope: Vec<CoreId> = self.availability().available_cores();
             let session = self.sessions.get_mut(&app).expect("session exists");
-            session.envelope = envelope.clone();
+            session.envelope.clone_from(&usable);
             session.co_allocated = true;
             session.samples_since_realloc = 0;
-            let erv = full_envelope_erv(&envelope, hw);
+            let erv = full_envelope_erv(&usable, hw, shape);
             session.active_erv = Some(erv.clone());
-            out.directives.push(directive_for(app, &erv, &envelope, hw));
+            out.directives.push(directive_for(app, erv, &usable, hw));
         }
         Ok(out)
     }
@@ -1406,8 +1489,8 @@ impl RmCore {
                 self.register_resumable(AppId(*app), name, *provides_utility, *resume_token)?;
             }
             JournalRecord::SubmitPoints { app, points } => {
-                let shape = self.hw.erv_shape();
-                self.submit_points(AppId(*app), decode_points(&shape, points)?)?;
+                let points = decode_points(&self.shape, points)?;
+                self.submit_points(AppId(*app), points)?;
             }
             JournalRecord::Deregister { app } => {
                 self.deregister(AppId(*app))?;
@@ -1474,11 +1557,10 @@ impl RmCore {
             self.migrations = s.faults.migrations;
             self.publish_fault_gauges();
         }
-        let shape = self.hw.erv_shape();
         for (name, points) in &s.profiles {
             self.profiles.insert(
                 name.clone(),
-                table_from_points(decode_points(&shape, points)?),
+                table_from_points(decode_points(&self.shape, points)?),
             );
         }
         for sess in &s.sessions {
@@ -1500,7 +1582,8 @@ impl RmCore {
                 };
             }
             if !sess.points.is_empty() {
-                self.submit_points(AppId(sess.app), decode_points(&shape, &sess.points)?)?;
+                let points = decode_points(&self.shape, &sess.points)?;
+                self.submit_points(AppId(sess.app), points)?;
             }
         }
         self.max_app_seen = self.max_app_seen.max(s.max_app_seen);
@@ -1508,11 +1591,63 @@ impl RmCore {
         Ok(())
     }
 
-    /// Remembers the last directive emitted per app (resume replay).
+    /// Remembers the last directive emitted per app (resume replay). A
+    /// round re-emits every session's activation and most repeat the
+    /// previous one, so only those that differ are copied.
     fn note_output(&mut self, out: &RmOutput) {
         for d in &out.directives {
-            self.last_directives.insert(d.app, d.clone());
+            match self.last_directives.get_mut(&d.app) {
+                Some(last) if last == d => {}
+                Some(last) => *last = d.clone(),
+                None => {
+                    self.last_directives.insert(d.app, d.clone());
+                }
+            }
         }
+    }
+
+    /// Session requests rebuilt from their tables since creation: a round
+    /// rebuilds one only for a session whose table or priority changed
+    /// since its last round (also the `rm.option_sets_rebuilt` metric).
+    pub fn option_sets_rebuilt(&self) -> u64 {
+        self.option_sets_rebuilt
+    }
+
+    /// Test support: every way the state kept between rounds disagrees
+    /// with recomputing it. A kept request whose key still holds must equal
+    /// the request built from the session's table now, and the last
+    /// activation of every session — built from the solver's `Choice` or
+    /// from the envelope — must equal the one derived from the session's
+    /// active vector and envelope.
+    #[doc(hidden)]
+    pub fn round_cache_violations(&self) -> Vec<String> {
+        let mut violations = Vec::new();
+        for (&app, s) in &self.sessions {
+            let key = (s.explorer.generation(), s.priority.to_bits());
+            if let Some(kept) = s.request.as_ref().filter(|c| c.key == key) {
+                if kept.request != build_request(app, &s.explorer, s.priority) {
+                    violations.push(format!("{app}: kept request differs from a rebuilt one"));
+                }
+            }
+            if let Some(d) = self.last_directives.get(&app) {
+                let derived = s.active_erv.as_ref().map(|erv| {
+                    let (cores, hw_threads) = envelope_grant(erv, &s.envelope, &self.hw);
+                    Directive {
+                        app,
+                        erv: erv.clone(),
+                        cores,
+                        hw_threads,
+                        parallelism: erv.total_threads(),
+                    }
+                });
+                if derived.as_ref() != Some(d) {
+                    violations.push(format!(
+                        "{app}: last activation {d:?} differs from the derived {derived:?}"
+                    ));
+                }
+            }
+        }
+        violations
     }
 
     /// A deterministic, human-diffable digest of the full RM state. Two
@@ -1691,46 +1826,72 @@ fn cores_to_rv(cores: &[CoreId], hw: &HardwareDescription) -> ResourceVector {
 }
 
 /// The full-SMT extended resource vector over a concrete core list.
-fn full_envelope_erv(cores: &[CoreId], hw: &HardwareDescription) -> ExtResourceVector {
-    let shape = hw.erv_shape();
+fn full_envelope_erv(
+    cores: &[CoreId],
+    hw: &HardwareDescription,
+    shape: &ErvShape,
+) -> ExtResourceVector {
     let rv = cores_to_rv(cores, hw);
-    ExtResourceVector::full_smt(&shape, rv.counts()).expect("envelope matches shape")
+    ExtResourceVector::full_smt(shape, rv.counts()).expect("envelope matches shape")
+}
+
+impl Directive {
+    /// Builds an activation and records it in the trace. Every activation
+    /// the RM emits is made here — allocation rounds and per-app
+    /// exploration retargets alike.
+    fn emit(
+        app: AppId,
+        erv: ExtResourceVector,
+        cores: Vec<CoreId>,
+        hw_threads: Vec<HwThreadId>,
+    ) -> Directive {
+        let parallelism = erv.total_threads();
+        if harp_obs::enabled() {
+            harp_obs::instant(harp_obs::Subsystem::Rm, "directive")
+                .field("app", app.0)
+                .field("parallelism", parallelism)
+                .field("cores", cores.len());
+        }
+        Directive {
+            app,
+            erv,
+            cores,
+            hw_threads,
+            parallelism,
+        }
+    }
+}
+
+/// The cores and hardware threads `erv` uses out of a session envelope:
+/// the demanded number of cores of each kind, lowest ids first.
+fn envelope_grant(
+    erv: &ExtResourceVector,
+    envelope: &[CoreId],
+    hw: &HardwareDescription,
+) -> (Vec<CoreId>, Vec<HwThreadId>) {
+    let mut cores = Vec::with_capacity(erv.total_cores() as usize);
+    for kind in 0..hw.num_kinds() {
+        let needed = erv.cores_of_kind(kind) as usize;
+        let of_kind = hw
+            .core_range_of_kind(CoreKind(kind))
+            .expect("kind of this machine");
+        let granted = envelope.iter().filter(|c| of_kind.contains(&c.0));
+        cores.extend(granted.take(needed));
+    }
+    cores.sort_unstable();
+    let hw_threads = hw_threads_for(erv, &cores, hw).unwrap_or_default();
+    (cores, hw_threads)
 }
 
 /// Builds the activation for `erv` using cores from the session envelope.
 fn directive_for(
     app: AppId,
-    erv: &ExtResourceVector,
+    erv: ExtResourceVector,
     envelope: &[CoreId],
     hw: &HardwareDescription,
 ) -> Directive {
-    // Pick the demanded number of cores of each kind from the envelope.
-    let mut cores = Vec::new();
-    for kind in 0..hw.num_kinds() {
-        let needed = erv.cores_of_kind(kind) as usize;
-        let of_kind = envelope
-            .iter()
-            .copied()
-            .filter(|c| hw.kind_of_core(*c).map(|k| k.0) == Ok(kind));
-        cores.extend(of_kind.take(needed));
-    }
-    cores.sort();
-    let hw_threads = hw_threads_for(erv, &cores, hw).unwrap_or_default();
-    if harp_obs::enabled() {
-        // Every activation the RM emits flows through here — both
-        // allocation rounds and per-app exploration retargets.
-        harp_obs::instant(harp_obs::Subsystem::Rm, "directive")
-            .field("app", app.0)
-            .field("parallelism", erv.total_threads())
-            .field("cores", cores.len());
-    }
-    Directive {
-        app,
-        erv: erv.clone(),
-        parallelism: erv.total_threads(),
-        cores,
-        hw_threads,
-    }
+    let (cores, hw_threads) = envelope_grant(&erv, envelope, hw);
+    Directive::emit(app, erv, cores, hw_threads)
 }
 
 /// Stable telemetry name of an exploration stage.
@@ -1739,20 +1900,6 @@ fn stage_name(stage: Stage) -> &'static str {
         Stage::Initial => "initial",
         Stage::Refinement => "refinement",
         Stage::Stable => "stable",
-    }
-}
-
-trait ExplorerExt {
-    fn into_table(self) -> OperatingPointTable;
-}
-
-impl ExplorerExt for Explorer {
-    fn into_table(self) -> OperatingPointTable {
-        // Persist only measured points; predictions are recomputed.
-        self.table()
-            .iter_measured()
-            .map(|(_, p)| harp_types::OperatingPoint::new(p.erv.clone(), p.nfc))
-            .collect()
     }
 }
 

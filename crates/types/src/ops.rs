@@ -234,6 +234,16 @@ impl OperatingPointTable {
             }
         }
     }
+
+    /// Consumes the table and returns one holding only its measured points,
+    /// in their current relative order — the same table as collecting
+    /// [`OperatingPointTable::iter_measured`], without cloning a point.
+    pub fn into_measured(mut self) -> Self {
+        let mut measured = self.measured.iter();
+        self.points
+            .retain(|_| *measured.next().expect("one flag per point"));
+        OperatingPointTable::from_measured(self.points)
+    }
 }
 
 impl FromIterator<OperatingPoint> for OperatingPointTable {
@@ -318,6 +328,27 @@ mod tests {
         t.clear_predictions();
         assert_eq!(t.len(), 1);
         assert_eq!(t.measured_count(), 1);
+    }
+
+    #[test]
+    fn into_measured_equals_collecting_the_measured_points() {
+        let mut t = OperatingPointTable::new();
+        // Predictions interleaved with measurements, and a re-measurement
+        // that lowers the utility the normalization base came from.
+        t.record_prediction(erv(&[0, 1, 0]), NonFunctional::new(50.0, 1.0));
+        t.record_measurement(erv(&[1, 0, 0]), NonFunctional::new(9.0, 2.0));
+        t.record_prediction(erv(&[0, 0, 1]), NonFunctional::new(6.0, 1.0));
+        t.record_measurement(erv(&[0, 0, 2]), NonFunctional::new(4.0, 1.0));
+        t.record_measurement(erv(&[1, 0, 0]), NonFunctional::new(3.0, 2.0));
+        let collected: OperatingPointTable = t.iter_measured().map(|(_, p)| p.clone()).collect();
+        let moved = t.into_measured();
+        assert_eq!(
+            moved.iter().collect::<Vec<_>>(),
+            collected.iter().collect::<Vec<_>>()
+        );
+        assert_eq!(moved.measured_count(), 2);
+        assert_eq!(moved.max_utility().to_bits(), 4.0f64.to_bits());
+        assert_eq!(moved.max_utility(), collected.max_utility());
     }
 
     #[test]

@@ -276,6 +276,25 @@ impl ExtResourceVector {
         ErvShape::new(self.per_kind.iter().map(Vec::len).collect())
     }
 
+    /// Whether this vector conforms to `shape` — `self.shape() == *shape`
+    /// without materializing the shape.
+    pub fn has_shape(&self, shape: &ErvShape) -> bool {
+        self.per_kind.len() == shape.num_kinds()
+            && self
+                .per_kind
+                .iter()
+                .zip(shape.smt_widths())
+                .all(|(hist, &w)| hist.len() == w)
+    }
+
+    /// Whether the per-kind core demand fits `capacity` —
+    /// `self.resource_vector().fits_within(capacity)` without materializing
+    /// the coarse vector.
+    pub fn fits_within(&self, capacity: &ResourceVector) -> bool {
+        self.per_kind.len() == capacity.num_kinds()
+            && (0..self.per_kind.len()).all(|k| self.cores_of_kind(k) <= capacity.counts()[k])
+    }
+
     /// Adds `count` cores of kind `kind`, each using `threads_per_core`
     /// hardware threads.
     ///
@@ -541,6 +560,9 @@ mod tests {
         let erv = ExtResourceVector::from_flat(&shape, &flat).unwrap();
         assert_eq!(erv.flat(), flat);
         assert_eq!(erv.shape(), shape);
+        assert!(erv.has_shape(&shape));
+        assert!(!erv.has_shape(&ErvShape::new(vec![1, 1, 1])));
+        assert!(!erv.has_shape(&ErvShape::new(vec![2])));
         assert!(ExtResourceVector::from_flat(&shape, &[1, 2]).is_err());
     }
 
@@ -578,8 +600,14 @@ mod tests {
         assert_eq!(all.len(), 12);
         assert!(all.iter().any(|e| e.is_zero()));
         // All within capacity.
+        let tight = ResourceVector::new(vec![1, 1]);
         for e in &all {
-            assert!(e.resource_vector().fits_within(&cap));
+            assert!(e.fits_within(&cap));
+            assert_eq!(
+                e.fits_within(&tight),
+                e.resource_vector().fits_within(&tight)
+            );
+            assert!(!e.fits_within(&ResourceVector::zero(3)));
         }
         // All distinct.
         let mut flats: Vec<_> = all.iter().map(|e| e.flat()).collect();
