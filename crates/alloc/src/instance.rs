@@ -326,9 +326,9 @@ impl SolveInstance {
 /// Reusable buffers for the [`SolveInstance`] prepass and the λ-scoring
 /// loop, carried across solves by [`WarmStart`] so steady-state RM ticks
 /// allocate nothing: [`SolveInstance::build`] takes the instance arrays out
-/// of here, the solver borrows the scoring buffers (`pen`, `best_v`,
-/// `chunk_demand`) directly, and [`SolveScratch::reclaim`] hands the
-/// instance arrays back once the solve finishes.
+/// of here, the solver borrows the scoring buffers (`pen`, `best_v`)
+/// directly, and [`SolveScratch::reclaim`] hands the instance arrays back
+/// once the solve finishes.
 #[derive(Default)]
 pub(crate) struct SolveScratch {
     demands: Vec<u32>,
@@ -345,9 +345,6 @@ pub(crate) struct SolveScratch {
     pub(crate) pen: Vec<f64>,
     /// Per-app relaxed best value of the current iteration.
     pub(crate) best_v: Vec<f64>,
-    /// Per-chunk demand partials of the parallel relax
-    /// (`num_chunks × num_kinds`).
-    pub(crate) chunk_demand: Vec<u32>,
 }
 
 impl SolveScratch {

@@ -59,8 +59,7 @@ pub mod stats;
 pub use assign::hw_threads_for;
 pub use instance::{cost_or_large, WarmStart, INFINITE_COST};
 pub use solvers::{
-    select, select_deadline, select_opts, Selection, SolveDeadline, SolveOpts, SolveOutcome,
-    SolverKind, PAR_MIN_APPS, REFERENCE_ITERS,
+    select, select_deadline, Selection, SolveDeadline, SolveOutcome, SolverKind, REFERENCE_ITERS,
 };
 
 use harp_platform::{CoreAvailability, HardwareDescription};
@@ -152,7 +151,7 @@ pub fn allocate(
     hw: &HardwareDescription,
     solver: SolverKind,
 ) -> Result<Allocation> {
-    allocate_impl(requests, hw, None, solver, None, SolveOpts::default())
+    allocate_impl(requests, hw, None, solver, None, SolveDeadline::UNBOUNDED)
 }
 
 /// Like [`allocate`], but threads a [`WarmStart`] through the solver so λ
@@ -170,10 +169,16 @@ pub fn allocate_warm(
     solver: SolverKind,
     warm: &mut WarmStart,
 ) -> Result<Allocation> {
-    allocate_impl(requests, hw, None, solver, Some(warm), SolveOpts::default())
+    allocate_avail(requests, hw, None, solver, warm, SolveDeadline::UNBOUNDED)
 }
 
-/// Like [`allocate_warm`], but with a cooperative [`SolveDeadline`].
+/// Like [`allocate_warm`], but with a cooperative [`SolveDeadline`] and
+/// restricted to the cores a [`CoreAvailability`] mask leaves usable: the
+/// MMKP capacity vector shrinks to the per-kind count of usable cores, and
+/// the spatial assignment skips banned cores entirely, so a degraded
+/// platform (core hotplug, quarantine) never receives work on an offline
+/// core. With `avail == None` (or a full mask) and
+/// [`SolveDeadline::UNBOUNDED`] this is bit-identical to [`allocate_warm`].
 ///
 /// # Errors
 ///
@@ -189,53 +194,8 @@ pub fn allocate_warm(
 /// total cores, exceed capacity) never reaches the solver: it co-allocates
 /// at once whatever the deadline, since no budget could have found a
 /// disjoint placement.
-pub fn allocate_warm_deadline(
-    requests: &[AllocRequest],
-    hw: &HardwareDescription,
-    solver: SolverKind,
-    warm: &mut WarmStart,
-    deadline: SolveDeadline,
-) -> Result<Allocation> {
-    allocate_impl(
-        requests,
-        hw,
-        None,
-        solver,
-        Some(warm),
-        SolveOpts::deadline(deadline),
-    )
-}
-
-/// Like [`allocate_warm_deadline`], but with the full per-solve tuning of
-/// [`SolveOpts`] — including the worker-pool width for the data-parallel
-/// candidate-evaluation engine. Parallel solves return bit-identical
-/// allocations to serial ones at any thread count.
 ///
-/// # Errors
-///
-/// Same contract as [`allocate_warm_deadline`].
-pub fn allocate_opts(
-    requests: &[AllocRequest],
-    hw: &HardwareDescription,
-    solver: SolverKind,
-    warm: &mut WarmStart,
-    opts: SolveOpts,
-) -> Result<Allocation> {
-    allocate_impl(requests, hw, None, solver, Some(warm), opts)
-}
-
-/// Like [`allocate_opts`], but restricted to the cores a
-/// [`CoreAvailability`] mask leaves usable: the MMKP capacity vector
-/// shrinks to the per-kind count of usable cores, and the spatial
-/// assignment skips banned cores entirely, so a degraded platform (core
-/// hotplug, quarantine) never receives work on an offline core. With
-/// `avail == None` (or a full mask) this is bit-identical to
-/// [`allocate_opts`].
-///
-/// # Errors
-///
-/// Same contract as [`allocate_opts`]; a request whose every option
-/// exceeds the *shrunk* capacity yields
+/// A request whose every option exceeds the *shrunk* capacity yields
 /// [`HarpError::InsufficientResources`] — callers managing degradation
 /// should pre-filter such options.
 pub fn allocate_avail(
@@ -244,9 +204,9 @@ pub fn allocate_avail(
     avail: Option<&CoreAvailability>,
     solver: SolverKind,
     warm: &mut WarmStart,
-    opts: SolveOpts,
+    deadline: SolveDeadline,
 ) -> Result<Allocation> {
-    allocate_impl(requests, hw, avail, solver, Some(warm), opts)
+    allocate_impl(requests, hw, avail, solver, Some(warm), deadline)
 }
 
 fn allocate_impl(
@@ -255,7 +215,7 @@ fn allocate_impl(
     avail: Option<&CoreAvailability>,
     solver: SolverKind,
     warm: Option<&mut WarmStart>,
-    opts: SolveOpts,
+    deadline: SolveDeadline,
 ) -> Result<Allocation> {
     let capacity = match avail {
         Some(a) => a.capacity(hw),
@@ -308,7 +268,7 @@ fn allocate_impl(
             .all(|(lb, cap)| lb <= cap);
 
     let solved = if maybe_feasible {
-        match solvers::select_opts(requests, &capacity, solver, warm, opts) {
+        match solvers::select_deadline(requests, &capacity, solver, warm, deadline) {
             Ok(sel) => Some(sel),
             // A deadline overrun is a *time* failure, not a capacity one:
             // propagate it instead of tearing up placements via the
@@ -586,8 +546,15 @@ mod tests {
         // A solver that ran would exhaust a 1-iteration budget and report
         // `DeadlineExceeded`; the bound co-allocates without calling it.
         let mut warm = WarmStart::new();
-        let a = allocate_warm_deadline(&storm(7), &hw, SolverKind::Lagrangian, &mut warm, one_iter)
-            .unwrap();
+        let a = allocate_avail(
+            &storm(7),
+            &hw,
+            None,
+            SolverKind::Lagrangian,
+            &mut warm,
+            one_iter,
+        )
+        .unwrap();
         assert!(a.co_allocated);
         assert_eq!(a.choices.len(), 7);
         assert_eq!(a.solve_work, 1.0);
@@ -607,7 +574,14 @@ mod tests {
         // and still reports an exhausted budget as such.
         let mut warm = WarmStart::new();
         assert!(matches!(
-            allocate_warm_deadline(&storm(3), &hw, SolverKind::Lagrangian, &mut warm, one_iter),
+            allocate_avail(
+                &storm(3),
+                &hw,
+                None,
+                SolverKind::Lagrangian,
+                &mut warm,
+                one_iter
+            ),
             Err(HarpError::DeadlineExceeded { .. })
         ));
         assert!(
@@ -711,7 +685,7 @@ mod tests {
             Some(&avail),
             SolverKind::Lagrangian,
             &mut warm,
-            SolveOpts::default(),
+            SolveDeadline::UNBOUNDED,
         )
         .unwrap();
         assert_eq!(a.choices[&AppId(1)].op, OpId(1));
@@ -724,7 +698,7 @@ mod tests {
             Some(&avail),
             SolverKind::Lagrangian,
             &mut warm2,
-            SolveOpts::default(),
+            SolveDeadline::UNBOUNDED,
         )
         .unwrap();
         assert_eq!(
@@ -740,7 +714,7 @@ mod tests {
             Some(&full),
             SolverKind::Lagrangian,
             &mut warm3,
-            SolveOpts::default(),
+            SolveDeadline::UNBOUNDED,
         )
         .unwrap();
         let plain = allocate(&reqs2, &hw, SolverKind::Lagrangian).unwrap();

@@ -18,9 +18,11 @@
 //!    incumbent is certified near-optimal and returned early.
 //! 3. **Cold fallback** — failing that, λ resets to zero and the full
 //!    reference iteration schedule runs (with the same gap-based exit, the
-//!    common uncongested case certifies at iteration zero). The warm
-//!    phases only *add* candidate selections, so a warm solve is never
-//!    costlier than the cold solve of the same instance.
+//!    common uncongested case certifies at iteration zero). A certified
+//!    warm answer is within the tolerance of optimal, hence never costlier
+//!    than the cold solve of the same instance; an uncertified one climbs
+//!    from the warm incumbent instead of the cold one and can end a few
+//!    percent above it on instances of 40+ apps (`tests/prop_alloc.rs`).
 //!
 //! Cold-start behavior is conservative by construction: the subgradient
 //! trajectory (step sizes, tie-breaking, update order) replicates
@@ -30,7 +32,6 @@
 use crate::instance::{SolveInstance, SolveScratch, Totals, WarmStart};
 use crate::AllocRequest;
 use harp_types::{HarpError, ResourceVector, Result};
-use std::cell::Cell;
 
 /// The available selection strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,19 +74,12 @@ impl SolveOutcome {
 /// `crates/rm` is calibrated against it).
 pub const REFERENCE_ITERS: u32 = 60;
 
-/// A cooperative budget for one solve, checked between subgradient
-/// iterations on the Lagrangian path (memo hits are exempt — they cost no
-/// iterations; the greedy and exact solvers ignore the budget).
-///
-/// Two budget axes compose (whichever exhausts first wins):
-///
-/// * **iterations** — a deterministic cap on total subgradient iterations
-///   across the warm and cold phases. Deterministic budgets replay
-///   bit-identically from an RM journal, so they are the production choice
-///   for crash-recoverable daemons.
-/// * **wall clock** — an [`std::time::Instant`] cut-off. Useful for hard
-///   real-time tick budgets, but non-deterministic: a journal replay under
-///   different load may take a different degraded/non-degraded path.
+/// A cooperative budget for one solve: a cap on total subgradient
+/// iterations across the warm and cold phases of the Lagrangian path,
+/// checked before every iteration (memo hits are exempt — they cost no
+/// iterations; the greedy and exact solvers ignore the budget). An
+/// iteration count, unlike a wall-clock cut-off, replays bit-identically
+/// from an RM journal.
 ///
 /// When the budget exhausts before a duality-gap certificate is reached,
 /// the solve fails with [`HarpError::DeadlineExceeded`] instead of spending
@@ -93,121 +87,29 @@ pub const REFERENCE_ITERS: u32 = 60;
 /// to their previous feasible allocation and re-solve next tick.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveDeadline {
-    wall: Option<std::time::Instant>,
     iters: Option<u32>,
 }
 
 impl SolveDeadline {
     /// No budget: the solver runs its full schedule (the default).
-    pub const UNBOUNDED: SolveDeadline = SolveDeadline {
-        wall: None,
-        iters: None,
-    };
+    pub const UNBOUNDED: SolveDeadline = SolveDeadline { iters: None };
 
-    /// Deterministic budget of `budget` total subgradient iterations.
+    /// Budget of `budget` total subgradient iterations.
     pub fn iterations(budget: u32) -> Self {
         SolveDeadline {
-            wall: None,
             iters: Some(budget),
         }
-    }
-
-    /// Wall-clock cut-off at `deadline`.
-    pub fn by(deadline: std::time::Instant) -> Self {
-        SolveDeadline {
-            wall: Some(deadline),
-            iters: None,
-        }
-    }
-
-    /// Wall-clock budget of `budget` from now.
-    pub fn within(budget: std::time::Duration) -> Self {
-        Self::by(std::time::Instant::now() + budget)
-    }
-
-    /// Adds an iteration cap to a wall-clock deadline (or vice versa).
-    pub fn and_iterations(mut self, budget: u32) -> Self {
-        self.iters = Some(budget);
-        self
-    }
-
-    /// Whether this deadline never fires.
-    pub fn is_unbounded(&self) -> bool {
-        self.wall.is_none() && self.iters.is_none()
     }
 
     /// True when the budget leaves no room for another iteration after
     /// `done` iterations have run.
     fn exhausted(&self, done: u32) -> bool {
-        if self.iters.is_some_and(|b| done >= b) {
-            return true;
-        }
-        self.wall.is_some_and(|w| std::time::Instant::now() >= w)
+        self.iters.is_some_and(|b| done >= b)
     }
 }
 
 /// Iterations granted to the warm certify phase before falling back cold.
 const WARM_ITERS: u32 = 10;
-
-/// Apps per chunk of the data-parallel candidate evaluation. The partition
-/// is a function of the app count only — never of the thread count — so
-/// the chunk-ordered reductions are literally the same computation at any
-/// pool size (see `Engine`).
-const CHUNK_APPS: usize = 64;
-
-/// Default app-count floor below which a solve never dispatches to the
-/// worker pool (pool handoff costs more than scoring a small instance).
-pub const PAR_MIN_APPS: usize = 256;
-
-/// Per-solve tuning knobs: the cooperative deadline plus the data-parallel
-/// engine configuration.
-///
-/// `threads ≤ 1` keeps everything on the calling thread. With
-/// `threads > 1`, instances of at least `min_parallel_apps` applications
-/// partition their candidate-evaluation loops (λ-scoring, repair and
-/// upgrade swap scans) into fixed app chunks executed on a shared
-/// [`chunkpool::Pool`]. Results are **bit-identical** at any thread count:
-/// the chunk partition depends only on the app count, per-app results land
-/// in per-app slots, and every cross-chunk reduction runs serially in
-/// chunk order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolveOpts {
-    /// Cooperative budget (see [`SolveDeadline`]).
-    pub deadline: SolveDeadline,
-    /// Worker-pool width; `0`/`1` = serial.
-    pub threads: u32,
-    /// Instances smaller than this never dispatch to the pool
-    /// (default [`PAR_MIN_APPS`]).
-    pub min_parallel_apps: usize,
-}
-
-impl Default for SolveOpts {
-    fn default() -> Self {
-        SolveOpts {
-            deadline: SolveDeadline::UNBOUNDED,
-            threads: 0,
-            min_parallel_apps: PAR_MIN_APPS,
-        }
-    }
-}
-
-impl SolveOpts {
-    /// Serial solve with a deadline (the pre-parallel behavior).
-    pub fn deadline(deadline: SolveDeadline) -> Self {
-        SolveOpts {
-            deadline,
-            ..SolveOpts::default()
-        }
-    }
-
-    /// Parallel solve over `threads` pool lanes, unbounded deadline.
-    pub fn threads(threads: u32) -> Self {
-        SolveOpts {
-            threads,
-            ..SolveOpts::default()
-        }
-    }
-}
 
 /// One solved selection.
 #[derive(Debug, Clone)]
@@ -261,66 +163,18 @@ pub fn select_deadline(
     warm: Option<&mut WarmStart>,
     deadline: SolveDeadline,
 ) -> Result<Selection> {
-    select_opts(
-        requests,
-        capacity,
-        kind,
-        warm,
-        SolveOpts::deadline(deadline),
-    )
-}
-
-/// Like [`select`], but with full per-solve tuning: the cooperative
-/// deadline plus the parallel-engine knobs of [`SolveOpts`]. Parallel
-/// solves are bit-identical to serial ones at any thread count.
-///
-/// # Errors
-///
-/// Same contract as [`select_deadline`].
-pub fn select_opts(
-    requests: &[AllocRequest],
-    capacity: &ResourceVector,
-    kind: SolverKind,
-    warm: Option<&mut WarmStart>,
-    opts: SolveOpts,
-) -> Result<Selection> {
     let t0 = std::time::Instant::now();
     let mut sp = harp_obs::span(harp_obs::Subsystem::Solver, "solve").field("apps", requests.len());
-    let mut par = ParInfo::default();
-    let res = select_inner(requests, capacity, kind, warm, opts, &mut par);
+    let res = select_inner(requests, capacity, kind, warm, deadline);
     if let Ok(sel) = &res {
         crate::stats::record(t0.elapsed().as_nanos() as u64, sel.outcome);
         if sp.is_active() {
             sp.set_field("outcome", sel.outcome.name());
             sp.set_field("work", sel.work);
             sp.set_field("cost", sel.cost);
-            sp.set_field("path", if par.parallel { "parallel" } else { "serial" });
-            sp.set_field("chunks", par.chunks);
-            sp.set_field("reduce_ns", par.reduce_ns);
-        }
-        if harp_obs::enabled() {
-            harp_obs::metrics::counter(if par.parallel {
-                "solver.parallel_solves"
-            } else {
-                "solver.serial_solves"
-            })
-            .inc();
-            if par.parallel {
-                harp_obs::metrics::counter("solver.chunk_dispatches").add(par.dispatches);
-                harp_obs::metrics::histogram("solver.reduce_ns").record(par.reduce_ns);
-            }
         }
     }
     res
-}
-
-/// How the data-parallel engine ran one solve, for telemetry.
-#[derive(Default)]
-struct ParInfo {
-    parallel: bool,
-    chunks: u64,
-    dispatches: u64,
-    reduce_ns: u64,
 }
 
 fn select_inner(
@@ -328,8 +182,7 @@ fn select_inner(
     capacity: &ResourceVector,
     kind: SolverKind,
     mut warm: Option<&mut WarmStart>,
-    opts: SolveOpts,
-    par: &mut ParInfo,
+    deadline: SolveDeadline,
 ) -> Result<Selection> {
     if requests.is_empty() {
         return Ok(Selection {
@@ -350,25 +203,17 @@ fn select_inner(
             .field("pruned", inst.pruned as u64)
             .field("kinds", inst.num_kinds);
     }
-    let eng = Engine::new(&inst, &opts);
     let res = match kind {
-        SolverKind::Lagrangian => lagrangian(
-            &eng,
-            requests,
-            warm.as_deref_mut(),
-            opts.deadline,
-            &mut scratch,
-        ),
-        SolverKind::Greedy => greedy_picks(&eng).map(|p| finish(&inst, p, 1.0, SolveOutcome::Full)),
+        SolverKind::Lagrangian => {
+            lagrangian(&inst, requests, warm.as_deref_mut(), deadline, &mut scratch)
+        }
+        SolverKind::Greedy => {
+            greedy_picks(&inst).map(|p| finish(&inst, p, 1.0, SolveOutcome::Full))
+        }
         SolverKind::Exact => {
             exact(&inst, requests).map(|p| finish(&inst, p, 1.0, SolveOutcome::Full))
         }
     };
-    par.parallel = eng.pool.is_some();
-    par.chunks = (eng.bounds.len() - 1) as u64;
-    par.dispatches = eng.dispatches.get();
-    par.reduce_ns = eng.reduce_ns.get();
-    drop(eng);
     if let Some(w) = warm {
         scratch.reclaim(inst);
         w.scratch = scratch;
@@ -386,269 +231,65 @@ fn finish(inst: &SolveInstance, picks: Vec<usize>, work: f64, outcome: SolveOutc
     }
 }
 
-/// A repair/upgrade swap candidate: the scan's score (cost-increase
-/// ratio or gain), the app, and the target option index.
-type Swap = (f64, usize, usize);
-
-/// The data-parallel candidate-evaluation engine of one solve.
+/// One subgradient iteration's relaxed solve: per-app argmin of
+/// `cost + λ·demand` over the padded lane arrays, accumulated demand in
+/// `demand`, relaxed picks in `picks`. Returns the Lagrangian dual value
+/// `L(λ)` — a valid lower bound on the optimal selection cost for any
+/// λ ≥ 0.
 ///
-/// Wraps the instance with a fixed app-chunk partition and an optional
-/// worker pool. **Determinism argument** (why results are bit-identical to
-/// a flat serial scan at any thread count):
-///
-/// * the partition (`bounds`) is a function of the app count only;
-/// * λ-scoring writes each app's pick and relaxed value into that app's
-///   own slot, the dual value is then summed over the *flat* per-app array
-///   in app order (the same float-add sequence as a serial loop), and
-///   demand partials are `u32` (exact, associative) summed in chunk order;
-/// * the repair/upgrade swap scans reduce per-chunk champions serially in
-///   chunk order with the same strict comparison as the flat scan, which
-///   preserves first-strictly-best semantics exactly.
-pub(crate) struct Engine<'a> {
-    inst: &'a SolveInstance,
-    /// `None` = everything runs on the calling thread.
-    pool: Option<std::sync::Arc<chunkpool::Pool>>,
-    /// App chunk boundaries (`bounds[c]..bounds[c + 1]`), f(app count) only.
-    bounds: Vec<usize>,
-    /// Wall time spent in serial cross-chunk reductions (parallel path).
-    reduce_ns: Cell<u64>,
-    /// Pool dispatches issued by this solve.
-    dispatches: Cell<u64>,
-}
-
-impl<'a> Engine<'a> {
-    fn new(inst: &'a SolveInstance, opts: &SolveOpts) -> Engine<'a> {
-        let n = inst.num_apps();
-        let chunks = n.div_ceil(CHUNK_APPS).max(1);
-        let mut bounds: Vec<usize> = (0..chunks).map(|c| c * CHUNK_APPS).collect();
-        bounds.push(n);
-        let pool = (opts.threads > 1 && n >= opts.min_parallel_apps && chunks > 1)
-            .then(|| chunkpool::global(opts.threads as usize));
-        Engine {
-            inst,
-            pool,
-            bounds,
-            reduce_ns: Cell::new(0),
-            dispatches: Cell::new(0),
-        }
-    }
-
-    /// Serial engine over `inst`, for callers without tuning knobs (tests).
-    #[cfg(test)]
-    fn serial(inst: &'a SolveInstance) -> Engine<'a> {
-        Engine::new(inst, &SolveOpts::default())
-    }
-
-    /// One subgradient iteration's relaxed solve: per-app argmin of
-    /// `cost + λ·demand` over the padded lane arrays, accumulated demand in
-    /// `demand`, relaxed picks in `picks`. Returns the Lagrangian dual
-    /// value `L(λ)` — a valid lower bound on the optimal selection cost for
-    /// any λ ≥ 0.
-    fn relax(
-        &self,
-        lambda: &[f64],
-        picks: &mut [usize],
-        demand: &mut [u32],
-        scratch: &mut SolveScratch,
-    ) -> f64 {
-        let inst = self.inst;
-        let n = inst.num_apps();
-        let nk = inst.num_kinds;
-        let lane_len = inst.lane_len();
-        scratch.pen.clear();
-        scratch.pen.resize(lane_len, 0.0);
-        scratch.best_v.clear();
-        scratch.best_v.resize(n, 0.0);
-        demand.fill(0);
-
-        match &self.pool {
-            None => {
-                score_chunk(
-                    inst,
-                    lambda,
-                    0..n,
-                    &mut scratch.pen,
-                    &mut scratch.best_v,
-                    picks,
-                    demand,
-                );
-            }
-            Some(pool) => {
-                let nc = self.bounds.len() - 1;
-                scratch.chunk_demand.clear();
-                scratch.chunk_demand.resize(nc * nk, 0);
-                let parts = split_parts(
-                    inst,
-                    &self.bounds,
-                    &mut scratch.pen,
-                    &mut scratch.best_v,
-                    picks,
-                    &mut scratch.chunk_demand,
-                );
-                self.dispatches.set(self.dispatches.get() + 1);
-                pool.run_parts(parts, |_, part| {
-                    score_chunk(
-                        inst,
-                        lambda,
-                        part.apps,
-                        part.pen,
-                        part.best_v,
-                        part.picks,
-                        part.demand,
-                    );
-                });
-                // Serial chunk-order reduction: u32 demand partials are
-                // exact, so this equals the flat accumulation bit-for-bit.
-                let t0 = std::time::Instant::now();
-                for c in 0..nc {
-                    for (t, &d) in demand
-                        .iter_mut()
-                        .zip(&scratch.chunk_demand[c * nk..(c + 1) * nk])
-                    {
-                        *t += d;
-                    }
-                }
-                self.bump_reduce(t0);
-            }
-        }
-
-        // Flat app-order sum — the identical float-add sequence to the
-        // serial loop, independent of the chunk partition.
-        let value: f64 = scratch.best_v.iter().sum();
-        let relaxed_capacity: f64 = lambda
-            .iter()
-            .zip(&inst.capacity)
-            .map(|(&l, &r)| l * r as f64)
-            .sum();
-        value - relaxed_capacity
-    }
-
-    fn bump_reduce(&self, t0: std::time::Instant) {
-        self.reduce_ns
-            .set(self.reduce_ns.get() + t0.elapsed().as_nanos() as u64);
-    }
-
-    /// Runs `scan` over every chunk (pooled or inline) and reduces the
-    /// per-chunk champions in chunk order with `better`. `better(a, b)`
-    /// must be the same strict comparison the flat scan uses, so the
-    /// first-strictly-best candidate wins regardless of partition.
-    fn best_swap<S, B>(&self, scan: S, better: B) -> Option<Swap>
-    where
-        S: Fn(std::ops::Range<usize>) -> Option<Swap> + Sync,
-        B: Fn(f64, f64) -> bool,
-    {
-        let nc = self.bounds.len() - 1;
-        match &self.pool {
-            None => scan(0..self.inst.num_apps()),
-            Some(pool) => {
-                let mut outs: Vec<Option<Swap>> = vec![None; nc];
-                let bounds = &self.bounds;
-                let parts: Vec<(usize, &mut Option<Swap>)> = outs.iter_mut().enumerate().collect();
-                self.dispatches.set(self.dispatches.get() + 1);
-                pool.run_parts(parts, |_, (c, out)| {
-                    *out = scan(bounds[c]..bounds[c + 1]);
-                });
-                let t0 = std::time::Instant::now();
-                let mut best: Option<Swap> = None;
-                for cand in outs.into_iter().flatten() {
-                    if best.is_none_or(|(b, _, _)| better(cand.0, b)) {
-                        best = Some(cand);
-                    }
-                }
-                self.bump_reduce(t0);
-                best
-            }
-        }
-    }
-}
-
-/// One chunk's λ-scoring: penalty lanes accumulated kind-major from `0.0`
-/// (zero multipliers skipped — they contribute exactly `+0.0`), then a
-/// branch-light argmin over each app's padded slice. Pads score
-/// `INFINITY + 0.0` and can never win the strict `<`.
-fn score_chunk(
+/// Penalty lanes accumulate kind-major from `0.0` (zero multipliers are
+/// skipped — they contribute exactly `+0.0`), then a branch-light argmin
+/// runs over each app's padded slice. Pads score `INFINITY + 0.0` and can
+/// never win the strict `<`.
+fn relax(
     inst: &SolveInstance,
     lambda: &[f64],
-    apps: std::ops::Range<usize>,
-    pen: &mut [f64],
-    best_v: &mut [f64],
     picks: &mut [usize],
     demand: &mut [u32],
-) {
-    let l0 = inst.lanes(apps.start).start;
-    let l1 = inst.lanes(apps.end - 1).end;
-    pen.fill(0.0);
+    scratch: &mut SolveScratch,
+) -> f64 {
+    let pen = &mut scratch.pen;
+    let best_v = &mut scratch.best_v;
+    pen.clear();
+    pen.resize(inst.lane_len(), 0.0);
+    best_v.clear();
+    best_v.resize(inst.num_apps(), 0.0);
+    demand.fill(0);
+
     for (k, &lk) in lambda.iter().enumerate() {
         if lk == 0.0 {
             continue;
         }
-        let lanes = &inst.lane_demands(k)[l0..l1];
-        for (p, &d) in pen.iter_mut().zip(lanes) {
+        for (p, &d) in pen.iter_mut().zip(inst.lane_demands(k)) {
             *p += lk * d;
         }
     }
-    let costs = &inst.lane_costs()[l0..l1];
-    for (ai, app) in apps.clone().enumerate() {
+    let costs = inst.lane_costs();
+    for (app, (pick, best)) in picks.iter_mut().zip(best_v.iter_mut()).enumerate() {
         let lr = inst.lanes(app);
-        let (s, e) = (lr.start - l0, lr.end - l0);
         let mut bi = 0usize;
         let mut bv = f64::INFINITY;
-        for (j, (&c, &p)) in costs[s..e].iter().zip(&pen[s..e]).enumerate() {
+        for (j, (&c, &p)) in costs[lr.clone()].iter().zip(&pen[lr]).enumerate() {
             let v = c + p;
             if v < bv {
                 bv = v;
                 bi = j;
             }
         }
-        let pick = inst.options(app).start + bi;
-        picks[ai] = pick;
-        best_v[ai] = bv;
-        for (t, &d) in demand.iter_mut().zip(inst.demand(pick)) {
+        *pick = inst.options(app).start + bi;
+        *best = bv;
+        for (t, &d) in demand.iter_mut().zip(inst.demand(*pick)) {
             *t += d;
         }
     }
-}
 
-/// One chunk's disjoint `&mut` sub-slices of the λ-scoring buffers.
-struct RelaxPart<'a> {
-    apps: std::ops::Range<usize>,
-    pen: &'a mut [f64],
-    best_v: &'a mut [f64],
-    picks: &'a mut [usize],
-    demand: &'a mut [u32],
-}
-
-/// Splits the scoring buffers along the chunk boundaries.
-fn split_parts<'a>(
-    inst: &SolveInstance,
-    bounds: &[usize],
-    mut pen: &'a mut [f64],
-    mut best_v: &'a mut [f64],
-    mut picks: &'a mut [usize],
-    mut chunk_demand: &'a mut [u32],
-) -> Vec<RelaxPart<'a>> {
-    let nk = inst.num_kinds;
-    let mut parts = Vec::with_capacity(bounds.len() - 1);
-    for w in bounds.windows(2) {
-        let (a0, a1) = (w[0], w[1]);
-        let lanes = inst.lanes(a1 - 1).end - inst.lanes(a0).start;
-        let (pen_c, pen_r) = pen.split_at_mut(lanes);
-        let (bv_c, bv_r) = best_v.split_at_mut(a1 - a0);
-        let (picks_c, picks_r) = picks.split_at_mut(a1 - a0);
-        let (dem_c, dem_r) = chunk_demand.split_at_mut(nk);
-        pen = pen_r;
-        best_v = bv_r;
-        picks = picks_r;
-        chunk_demand = dem_r;
-        parts.push(RelaxPart {
-            apps: a0..a1,
-            pen: pen_c,
-            best_v: bv_c,
-            picks: picks_c,
-            demand: dem_c,
-        });
-    }
-    parts
+    let value: f64 = best_v.iter().sum();
+    let relaxed_capacity: f64 = lambda
+        .iter()
+        .zip(&inst.capacity)
+        .map(|(&l, &r)| l * r as f64)
+        .sum();
+    value - relaxed_capacity
 }
 
 /// Projected subgradient step with the reference solver's diminishing step
@@ -678,20 +319,25 @@ impl Subgradient {
     /// iteration count (which spans the warm and cold phases).
     fn run(
         &mut self,
-        eng: &Engine<'_>,
+        inst: &SolveInstance,
         max_iters: u32,
         tol: f64,
         deadline: SolveDeadline,
         scratch: &mut SolveScratch,
     ) {
-        let inst = eng.inst;
         for it in 0..max_iters {
             if deadline.exhausted(self.iters) {
                 self.deadline_hit = true;
                 return;
             }
             self.iters += 1;
-            let lower = eng.relax(&self.lambda, &mut self.picks, &mut self.demand, scratch);
+            let lower = relax(
+                inst,
+                &self.lambda,
+                &mut self.picks,
+                &mut self.demand,
+                scratch,
+            );
             if inst.fits(&self.demand) {
                 let cost = inst.selection_cost(&self.picks);
                 if self.best.as_ref().is_none_or(|(c, _)| cost < *c) {
@@ -710,13 +356,12 @@ impl Subgradient {
 }
 
 fn lagrangian(
-    eng: &Engine<'_>,
+    inst: &SolveInstance,
     requests: &[AllocRequest],
     mut warm: Option<&mut WarmStart>,
     deadline: SolveDeadline,
     scratch: &mut SolveScratch,
 ) -> Result<Selection> {
-    let inst = eng.inst;
     // Phase 0: memo — bit-identical instance, replay the previous answer.
     if let Some(w) = warm.as_deref_mut() {
         if let Some((fp, memo_picks)) = &w.memo {
@@ -738,7 +383,7 @@ fn lagrangian(
     // survives arrivals and departures), repaired to feasibility.
     let seed = warm
         .as_deref()
-        .and_then(|w| seed_candidate(eng, requests, w));
+        .and_then(|w| seed_candidate(inst, requests, w));
 
     let tol = 1e-9 * inst.cost_scale.max(1.0);
     let mut sg = Subgradient {
@@ -758,7 +403,7 @@ fn lagrangian(
         if w.lambda.len() == inst.num_kinds && w.lambda.iter().any(|&l| l > 0.0) {
             let mut sp = harp_obs::span(harp_obs::Subsystem::Solver, "warm_certify");
             sg.lambda.copy_from_slice(&w.lambda);
-            sg.run(eng, WARM_ITERS, tol, deadline, scratch);
+            sg.run(inst, WARM_ITERS, tol, deadline, scratch);
             sp.set_field("iters", sg.iters);
             sp.set_field("certified", sg.certified);
         }
@@ -772,7 +417,7 @@ fn lagrangian(
         let before = sg.iters;
         let mut sp = harp_obs::span(harp_obs::Subsystem::Solver, "cold_schedule");
         sg.lambda.fill(0.0);
-        sg.run(eng, REFERENCE_ITERS, tol, deadline, scratch);
+        sg.run(inst, REFERENCE_ITERS, tol, deadline, scratch);
         sp.set_field("iters", sg.iters - before);
         sp.set_field("certified", sg.certified);
     }
@@ -802,16 +447,16 @@ fn lagrangian(
         let mut picks = match sg.best.take() {
             Some((_, p)) => p,
             None => {
-                let (p, rounds) = repair(eng, sg.picks.clone())?;
+                let (p, rounds) = repair(inst, sg.picks.clone())?;
                 repair_rounds = rounds;
                 p
             }
         };
         let mut totals = Totals::new(inst, &picks);
-        upgrade(eng, &mut picks, &mut totals);
+        upgrade(inst, &mut picks, &mut totals);
         sp.set_field("repair_rounds", repair_rounds);
         let mut cost = inst.selection_cost(&picks);
-        if let Ok(g) = greedy_picks(eng) {
+        if let Ok(g) = greedy_picks(inst) {
             let g_cost = inst.selection_cost(&g);
             if g_cost < cost {
                 picks = g;
@@ -858,11 +503,10 @@ fn lagrangian(
 /// to feasibility and climbs. Returns `(cost, picks)` or `None` when
 /// nothing carries over.
 fn seed_candidate(
-    eng: &Engine<'_>,
+    inst: &SolveInstance,
     requests: &[AllocRequest],
     w: &WarmStart,
 ) -> Option<(f64, Vec<usize>)> {
-    let inst = eng.inst;
     if w.last_picks.is_empty() {
         return None;
     }
@@ -896,19 +540,17 @@ fn seed_candidate(
     let (mut picks, _) = if totals.fits(inst) {
         (picks, 0)
     } else {
-        repair(eng, picks).ok()?
+        repair(inst, picks).ok()?
     };
     let mut totals = Totals::new(inst, &picks);
-    upgrade(eng, &mut picks, &mut totals);
+    upgrade(inst, &mut picks, &mut totals);
     Some((inst.selection_cost(&picks), picks))
 }
 
 /// Repair an infeasible selection: repeatedly apply the downgrade with the
 /// best (cost increase) / (overshoot reduction) ratio until feasible.
-/// Totals are delta-maintained, so each candidate swap costs O(kinds), and
-/// the per-round candidate scan runs chunked on the engine's pool.
-pub(crate) fn repair(eng: &Engine<'_>, mut picks: Vec<usize>) -> Result<(Vec<usize>, u32)> {
-    let inst = eng.inst;
+/// Totals are delta-maintained, so each candidate swap costs O(kinds).
+pub(crate) fn repair(inst: &SolveInstance, mut picks: Vec<usize>) -> Result<(Vec<usize>, u32)> {
     let mut totals = Totals::new(inst, &picks);
     let mut rounds = 0u32;
     loop {
@@ -916,28 +558,23 @@ pub(crate) fn repair(eng: &Engine<'_>, mut picks: Vec<usize>) -> Result<(Vec<usi
             return Ok((picks, rounds));
         }
         rounds += 1;
-        let scan = |apps: std::ops::Range<usize>| {
-            let mut best: Option<(f64, usize, usize)> = None; // (ratio, app, option)
-            for i in apps {
-                let cur = picks[i];
-                for j in inst.options(i) {
-                    if j == cur {
-                        continue;
-                    }
-                    let reduction = totals.reduction_after_swap(inst, cur, j);
-                    if reduction <= 0 {
-                        continue;
-                    }
-                    let dcost = inst.cost(j) - inst.cost(cur);
-                    let ratio = dcost / reduction as f64;
-                    if best.is_none_or(|(b, _, _)| ratio < b) {
-                        best = Some((ratio, i, j));
-                    }
+        let mut best: Option<(f64, usize, usize)> = None; // (ratio, app, option)
+        for (i, &cur) in picks.iter().enumerate() {
+            for j in inst.options(i) {
+                if j == cur {
+                    continue;
+                }
+                let reduction = totals.reduction_after_swap(inst, cur, j);
+                if reduction <= 0 {
+                    continue;
+                }
+                let dcost = inst.cost(j) - inst.cost(cur);
+                let ratio = dcost / reduction as f64;
+                if best.is_none_or(|(b, _, _)| ratio < b) {
+                    best = Some((ratio, i, j));
                 }
             }
-            best
-        };
-        let best = eng.best_swap(scan, |a, b| a < b);
+        }
         match best {
             Some((_, i, j)) => {
                 totals.swap(inst, picks[i], j);
@@ -960,33 +597,25 @@ pub(crate) fn repair(eng: &Engine<'_>, mut picks: Vec<usize>) -> Result<(Vec<usi
 
 /// Greedy improvement: while feasible swaps with lower cost exist, apply
 /// the best one. Candidate feasibility is checked against the
-/// delta-maintained totals in O(kinds), and the per-round candidate scan
-/// runs chunked on the engine's pool.
-pub(crate) fn upgrade(eng: &Engine<'_>, picks: &mut [usize], totals: &mut Totals) {
-    let inst = eng.inst;
+/// delta-maintained totals in O(kinds).
+pub(crate) fn upgrade(inst: &SolveInstance, picks: &mut [usize], totals: &mut Totals) {
     loop {
-        let scan = |apps: std::ops::Range<usize>| {
-            let mut best: Option<(f64, usize, usize)> = None;
-            for i in apps {
-                let cur = picks[i];
-                let cur_cost = inst.cost(cur);
-                for j in inst.options(i) {
-                    if j == cur {
-                        continue;
-                    }
-                    let gain = cur_cost - inst.cost(j);
-                    if gain <= 1e-12 {
-                        continue;
-                    }
-                    if totals.fits_after_swap(inst, cur, j) && best.is_none_or(|(g, _, _)| gain > g)
-                    {
-                        best = Some((gain, i, j));
-                    }
+        let mut best: Option<(f64, usize, usize)> = None; // (gain, app, option)
+        for (i, &cur) in picks.iter().enumerate() {
+            let cur_cost = inst.cost(cur);
+            for j in inst.options(i) {
+                if j == cur {
+                    continue;
+                }
+                let gain = cur_cost - inst.cost(j);
+                if gain <= 1e-12 {
+                    continue;
+                }
+                if totals.fits_after_swap(inst, cur, j) && best.is_none_or(|(g, _, _)| gain > g) {
+                    best = Some((gain, i, j));
                 }
             }
-            best
-        };
-        let best = eng.best_swap(scan, |a, b| a > b);
+        }
         match best {
             Some((_, i, j)) => {
                 totals.swap(inst, picks[i], j);
@@ -999,14 +628,13 @@ pub(crate) fn upgrade(eng: &Engine<'_>, picks: &mut [usize], totals: &mut Totals
 
 /// Greedy heuristic: start from the minimal selection (repaired if the
 /// min-total choices overload a kind), then apply upgrades.
-fn greedy_picks(eng: &Engine<'_>) -> Result<Vec<usize>> {
-    let inst = eng.inst;
+fn greedy_picks(inst: &SolveInstance) -> Result<Vec<usize>> {
     let mut picks = inst.minimal_picks();
     if !Totals::new(inst, &picks).fits(inst) {
-        picks = repair(eng, picks)?.0;
+        picks = repair(inst, picks)?.0;
     }
     let mut totals = Totals::new(inst, &picks);
-    upgrade(eng, &mut picks, &mut totals);
+    upgrade(inst, &mut picks, &mut totals);
     Ok(picks)
 }
 
@@ -1219,7 +847,7 @@ mod tests {
         // Both at their favourite: infeasible (4 big > 2).
         let inst = SolveInstance::build(&reqs, &capacity, &mut SolveScratch::default());
         let start = vec![inst.options(0).start, inst.options(1).start];
-        let (picks, _) = repair(&Engine::serial(&inst), start).unwrap();
+        let (picks, _) = repair(&inst, start).unwrap();
         assert!(feasible(&reqs, &inst.to_original(&picks), &capacity));
     }
 
@@ -1245,7 +873,7 @@ mod tests {
         let start: Vec<usize> = (0..n as usize).map(|i| inst.options(i).start).collect();
         let overshoot = Totals::new(&inst, &start).overshoot(&inst);
         assert!(overshoot > 0);
-        let (picks, rounds) = repair(&Engine::serial(&inst), start).unwrap();
+        let (picks, rounds) = repair(&inst, start).unwrap();
         assert!(Totals::new(&inst, &picks).fits(&inst));
         assert!(
             (rounds as i64) < overshoot,
@@ -1350,19 +978,6 @@ mod tests {
             matches!(res, Err(HarpError::DeadlineExceeded { .. })),
             "expected deadline error, got {res:?}"
         );
-    }
-
-    #[test]
-    fn past_wall_deadline_is_a_deadline_error() {
-        let (capacity, reqs) = congested();
-        let res = select_deadline(
-            &reqs,
-            &capacity,
-            SolverKind::Lagrangian,
-            None,
-            SolveDeadline::by(std::time::Instant::now()),
-        );
-        assert!(matches!(res, Err(HarpError::DeadlineExceeded { .. })));
     }
 
     #[test]

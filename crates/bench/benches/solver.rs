@@ -25,10 +25,7 @@
 //! JSON is malformed, so CI can gate on the artifact.
 
 use criterion::{black_box, Criterion};
-use harp_alloc::{
-    reference, select, select_opts, AllocOption, AllocRequest, Selection, SolveOpts, SolverKind,
-    WarmStart,
-};
+use harp_alloc::{reference, select, AllocOption, AllocRequest, SolverKind, WarmStart};
 use harp_types::{AppId, ErvShape, ExtResourceVector, OpId, ResourceVector};
 use serde::Deserialize;
 use std::time::Instant;
@@ -51,17 +48,8 @@ const OBS_ANCHOR_WARM_ENGINE_NS: u128 = 1_551_432;
 #[derive(Deserialize)]
 struct CheckFile {
     quick: bool,
-    host_threads: u64,
     rows: Vec<CheckRow>,
-    par: Vec<CheckPar>,
     obs: CheckObs,
-}
-
-#[derive(Deserialize)]
-struct CheckPar {
-    apps: u64,
-    speedup: f64,
-    deterministic: bool,
 }
 
 #[derive(Deserialize)]
@@ -203,103 +191,6 @@ fn bench_config(apps: usize, options: usize, kinds: usize, reps: usize) -> Row {
     }
 }
 
-/// One large-population tier of the parallel λ-search: a cold solve timed
-/// serial (`threads = 1`) and on the chunk pool, plus a bit-identity
-/// check across thread counts.
-struct ParRow {
-    apps: usize,
-    options: usize,
-    kinds: usize,
-    threads: u32,
-    serial_ns: u128,
-    parallel_ns: u128,
-    deterministic: bool,
-}
-
-impl ParRow {
-    fn speedup(&self) -> f64 {
-        self.serial_ns as f64 / (self.parallel_ns as f64).max(1.0)
-    }
-}
-
-/// Compares two selections bit-for-bit: picks, total-cost bits, work
-/// bits and outcome. Anything weaker would hide a reduction-order bug.
-fn bit_identical(a: &Selection, b: &Selection) -> bool {
-    a.picks == b.picks
-        && a.cost.to_bits() == b.cost.to_bits()
-        && a.work.to_bits() == b.work.to_bits()
-        && a.outcome == b.outcome
-}
-
-fn bench_par(apps: usize, options: usize, kinds: usize, threads: u32, reps: usize) -> ParRow {
-    let shape = ErvShape::new(vec![1; kinds]);
-    let reqs = requests(apps, options, kinds, &shape);
-    let capacity = capacity_for(apps, kinds);
-    let solve = |threads: u32| {
-        select_opts(
-            &reqs,
-            &capacity,
-            SolverKind::Lagrangian,
-            None,
-            SolveOpts::threads(threads),
-        )
-        .expect("bench instance solves")
-    };
-
-    // Bit-identity across thread counts (cold solves), plus a short
-    // warm-started tick sequence at 1 vs `threads` workers — the warm
-    // path exercises repair/upgrade swap scoring, which reduces
-    // cross-chunk.
-    let serial_sel = solve(1);
-    let mut deterministic =
-        bit_identical(&serial_sel, &solve(2)) && bit_identical(&serial_sel, &solve(threads));
-    let ticks = tick_schedule(&reqs, 8);
-    let warm_seq = |threads: u32| -> (Vec<Selection>, (u64, u64, u64)) {
-        let mut warm = WarmStart::new();
-        let sels = ticks
-            .iter()
-            .map(|tick| {
-                select_opts(
-                    tick,
-                    &capacity,
-                    SolverKind::Lagrangian,
-                    Some(&mut warm),
-                    SolveOpts::threads(threads),
-                )
-                .expect("bench tick solves")
-            })
-            .collect();
-        (
-            sels,
-            (warm.memo_hits(), warm.certified_exits(), warm.full_solves()),
-        )
-    };
-    let (ser_sels, ser_stats) = warm_seq(1);
-    let (par_sels, par_stats) = warm_seq(threads);
-    deterministic &= ser_stats == par_stats
-        && ser_sels.len() == par_sels.len()
-        && ser_sels
-            .iter()
-            .zip(&par_sels)
-            .all(|(a, b)| bit_identical(a, b));
-
-    let serial_ns = median_ns(reps, || {
-        black_box(solve(1));
-    });
-    let parallel_ns = median_ns(reps, || {
-        black_box(solve(threads));
-    });
-    ParRow {
-        apps,
-        options,
-        kinds,
-        threads,
-        serial_ns,
-        parallel_ns,
-        deterministic,
-    }
-}
-
 /// Telemetry overhead on the headline warm-tick workload: the same
 /// 32-tick sequence timed with instrumentation disabled (the default:
 /// every callsite is one relaxed atomic load) and with the global
@@ -388,17 +279,9 @@ fn bench_obs_overhead(reps: usize) -> ObsRow {
     }
 }
 
-fn render_json(
-    quick: bool,
-    host_threads: usize,
-    rows: &[Row],
-    par: &[ParRow],
-    obs: &ObsRow,
-) -> String {
+fn render_json(quick: bool, rows: &[Row], obs: &ObsRow) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "{{\n  \"quick\": {quick},\n  \"host_threads\": {host_threads},\n  \"rows\": [\n"
-    ));
+    out.push_str(&format!("{{\n  \"quick\": {quick},\n  \"rows\": [\n"));
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"apps\": {}, \"options\": {}, \"kinds\": {}, \
@@ -419,23 +302,6 @@ fn render_json(
             r.certified,
             r.full,
             if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"par\": [\n");
-    for (i, p) in par.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"apps\": {}, \"options\": {}, \"kinds\": {}, \"threads\": {}, \
-             \"serial_ns\": {}, \"parallel_ns\": {}, \"speedup\": {:.3}, \
-             \"deterministic\": {}}}{}\n",
-            p.apps,
-            p.options,
-            p.kinds,
-            p.threads,
-            p.serial_ns,
-            p.parallel_ns,
-            p.speedup(),
-            p.deterministic,
-            if i + 1 == par.len() { "" } else { "," }
         ));
     }
     out.push_str("  ],\n");
@@ -523,41 +389,6 @@ fn main() {
         })
         .collect();
 
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Parallel λ-search tiers: serial (threads = 1) vs the chunk pool at
-    // the host's width (floor 2, so the pool path runs even on a
-    // single-CPU host — there the row documents dispatch overhead and the
-    // determinism bit rather than a speedup).
-    let pool_threads = host_threads.max(2) as u32;
-    let (par_configs, par_reps): (&[(usize, usize, usize)], usize) = if quick {
-        (&[(256, 8, 3)], 1)
-    } else {
-        (&[(256, 8, 3), (1024, 8, 3), (4096, 8, 3)], 5)
-    };
-    let par: Vec<ParRow> = par_configs
-        .iter()
-        .map(|&(apps, options, kinds)| {
-            let row = bench_par(apps, options, kinds, pool_threads, par_reps);
-            println!(
-                "par {apps}x{options}x{kinds}: serial {} ns vs {} threads {} ns \
-                 ({:.2}x, deterministic: {})",
-                row.serial_ns,
-                row.threads,
-                row.parallel_ns,
-                row.speedup(),
-                row.deterministic,
-            );
-            row
-        })
-        .collect();
-    if let Some(bad) = par.iter().find(|p| !p.deterministic) {
-        eprintln!(
-            "solver bench: FATAL: parallel solve at {}x{}x{} is not bit-identical to serial",
-            bad.apps, bad.options, bad.kinds
-        );
-        std::process::exit(1);
-    }
-
     let obs = bench_obs_overhead(reps);
     println!(
         "obs overhead {}x{}x{}: disabled {} ns (anchor {} ns, {:+.2}%), \
@@ -572,7 +403,7 @@ fn main() {
         obs.enabled_overhead_pct(),
     );
 
-    let json = render_json(quick, host_threads, &rows, &par, &obs);
+    let json = render_json(quick, &rows, &obs);
     let parsed: CheckFile = match serde_json::from_str(&json) {
         Ok(p) => p,
         Err(e) => {
@@ -580,25 +411,9 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if parsed.quick != quick
-        || parsed.rows.len() != rows.len()
-        || parsed.par.len() != par.len()
-        || parsed.host_threads != host_threads as u64
-    {
+    if parsed.quick != quick || parsed.rows.len() != rows.len() {
         eprintln!("solver bench: generated JSON does not round-trip");
         std::process::exit(1);
-    }
-    for p in &parsed.par {
-        // Mirrors the committed-artifact gate in bench_artifacts.rs: a
-        // real speedup is only demanded where the host can express one.
-        if host_threads >= 4 && p.apps >= 4096 && p.speedup < 2.0 {
-            eprintln!(
-                "solver bench: WARNING: parallel speedup {:.2}x below 2x at {} apps \
-                 on a {host_threads}-thread host",
-                p.speedup, p.apps
-            );
-        }
-        assert!(p.deterministic, "checked above");
     }
     if parsed.obs.disabled_delta_pct > 2.0 {
         eprintln!(

@@ -14,7 +14,7 @@
 //! the canonical text, any replay violates a testkit oracle, or two
 //! replays of the same trace disagree on the RM state fingerprint.
 
-use harp_testkit::replay::replay_trace_with;
+use harp_testkit::replay::replay_trace;
 use harp_workload::{generate_trace, Trace, TraceGenConfig, TraceShape};
 use serde_json::JsonValue as V;
 use std::time::Instant;
@@ -118,9 +118,9 @@ fn main() {
         let trace = generate_trace(shape.as_str(), &cfg);
         let events = trace.events.len() as u64;
         let t0 = Instant::now();
-        let report = replay_trace_with(&trace, 0);
+        let report = replay_trace(&trace);
         let replay_ns = t0.elapsed().as_nanos() as u64;
-        let again = replay_trace_with(&trace, 0);
+        let again = replay_trace(&trace);
         let deterministic = again == report;
         if !report.passed() {
             eprintln!(

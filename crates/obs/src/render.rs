@@ -266,12 +266,6 @@ struct TickRow {
     memo: u64,
     certified: u64,
     full: u64,
-    // Parallel λ-search breakdown (solve span_end fields added in PR 6):
-    // how many solves took the chunk-pool path, how many chunks they
-    // dispatched, and the time spent in serial cross-chunk reductions.
-    par_solves: u64,
-    chunks: u64,
-    reduce_ns: u64,
     directives: u64,
 }
 
@@ -288,30 +282,17 @@ pub fn render_tick_table(dump: &ParsedDump) -> String {
             ("solver", "span_end", "solve") => {
                 row.solves += 1;
                 row.solve_ns += ev.dur_ns;
-                let str_field = |k: &str| {
-                    ev.fields
-                        .iter()
-                        .find(|(f, _)| f == k)
-                        .and_then(|(_, v)| v.as_str())
-                };
-                let u64_field = |k: &str| {
-                    ev.fields
-                        .iter()
-                        .find(|(f, _)| f == k)
-                        .and_then(|(_, v)| v.as_u64())
-                        .unwrap_or(0)
-                };
-                match str_field("outcome") {
+                let outcome = ev
+                    .fields
+                    .iter()
+                    .find(|(f, _)| f == "outcome")
+                    .and_then(|(_, v)| v.as_str());
+                match outcome {
                     Some("memo_hit") => row.memo += 1,
                     Some("certified") => row.certified += 1,
                     Some("full") => row.full += 1,
                     _ => {}
                 }
-                if str_field("path") == Some("parallel") {
-                    row.par_solves += 1;
-                }
-                row.chunks += u64_field("chunks");
-                row.reduce_ns += u64_field("reduce_ns");
             }
             _ => {}
         }
@@ -322,24 +303,13 @@ pub fn render_tick_table(dump: &ParsedDump) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:>5} {:>10} {:>10} {:>7} {:>10} {:>5} {:>5} {:>5} {:>5} {:>6} {:>8} {:>5}",
-        "tick",
-        "rm",
-        "sched",
-        "solves",
-        "solve_t",
-        "memo",
-        "cert",
-        "full",
-        "par",
-        "chunks",
-        "reduce",
-        "dirs"
+        "{:>5} {:>10} {:>10} {:>7} {:>10} {:>5} {:>5} {:>5} {:>5}",
+        "tick", "rm", "sched", "solves", "solve_t", "memo", "cert", "full", "dirs"
     );
     for (tick, row) in &rows {
         let _ = writeln!(
             out,
-            "{:>5} {:>10} {:>10} {:>7} {:>10} {:>5} {:>5} {:>5} {:>5} {:>6} {:>8} {:>5}",
+            "{:>5} {:>10} {:>10} {:>7} {:>10} {:>5} {:>5} {:>5} {:>5}",
             tick,
             fmt_dur(row.rm_tick_ns),
             fmt_dur(row.sched_tick_ns),
@@ -348,9 +318,6 @@ pub fn render_tick_table(dump: &ParsedDump) -> String {
             row.memo,
             row.certified,
             row.full,
-            row.par_solves,
-            row.chunks,
-            fmt_dur(row.reduce_ns),
             row.directives
         );
     }
@@ -528,11 +495,7 @@ mod tests {
             let _tick = span(Subsystem::Rm, "tick").field("apps", 1u64);
             {
                 let _realloc = span(Subsystem::Rm, "reallocate");
-                let _solve = span(Subsystem::Solver, "solve")
-                    .field("outcome", "memo_hit")
-                    .field("path", "parallel")
-                    .field("chunks", 4u64)
-                    .field("reduce_ns", 1200u64);
+                let _solve = span(Subsystem::Solver, "solve").field("outcome", "memo_hit");
             }
             instant(Subsystem::Rm, "directive").field("app", 1u64);
         }
@@ -560,10 +523,7 @@ mod tests {
         assert_eq!(cols[0], "1"); // tick
         assert_eq!(cols[3], "1"); // solves
         assert_eq!(cols[5], "1"); // memo hits
-        assert_eq!(cols[8], "1"); // parallel-path solves
-        assert_eq!(cols[9], "4"); // chunks dispatched
-        assert_eq!(cols[10], "1200ns"); // reduction time
-        assert_eq!(cols[11], "1"); // directives
+        assert_eq!(cols[8], "1"); // directives
     }
 
     #[test]

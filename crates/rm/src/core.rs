@@ -5,8 +5,8 @@ use crate::journal::{
     SnapshotSession,
 };
 use harp_alloc::{
-    allocate_avail, hw_threads_for, AllocOption, AllocRequest, SolveDeadline, SolveOpts,
-    SolverKind, WarmStart, REFERENCE_ITERS,
+    allocate_avail, hw_threads_for, AllocOption, AllocRequest, SolveDeadline, SolverKind,
+    WarmStart, REFERENCE_ITERS,
 };
 use harp_energy::{EnergyAttributor, EnergyLedger, LedgerTick};
 use harp_explore::{ExplorationConfig, Explorer, SampleOutcome, Stage};
@@ -42,18 +42,6 @@ pub struct RmConfig {
     /// previous feasible allocation, marks the tick degraded
     /// (`rm.degraded_ticks`) and re-solves next tick.
     pub solve_deadline_iters: u32,
-    /// Wall-clock solver budget per allocation round in microseconds
-    /// (`0` = disabled). Layers on top of the iteration budget; whichever
-    /// exhausts first wins. Non-deterministic: a replay under different
-    /// load may diverge from the live run, so snapshots (compaction) bound
-    /// the divergence window.
-    pub solve_deadline_us: u64,
-    /// Worker-pool width for the solver's data-parallel candidate
-    /// evaluation (`0`/`1` = serial). Results are bit-identical at any
-    /// setting — the knob trades solve latency for CPU time on large
-    /// managed populations (≳ 256 applications), so journal replay is
-    /// unaffected by it.
-    pub solver_threads: u32,
 }
 
 impl Default for RmConfig {
@@ -65,8 +53,6 @@ impl Default for RmConfig {
             message_cost_ns: 300_000,
             solve_cost_ns: 2_000_000,
             solve_deadline_iters: 0,
-            solve_deadline_us: 0,
-            solver_threads: 0,
         }
     }
 }
@@ -1210,10 +1196,9 @@ impl RmCore {
         });
         let solver_view = fitting.as_deref().unwrap_or(&requests);
 
-        let opts = SolveOpts {
-            deadline: self.solve_deadline(),
-            threads: self.cfg.solver_threads,
-            ..SolveOpts::default()
+        let deadline = match self.cfg.solve_deadline_iters {
+            0 => SolveDeadline::UNBOUNDED,
+            iters => SolveDeadline::iterations(iters),
         };
         let result = allocate_avail(
             solver_view,
@@ -1221,7 +1206,7 @@ impl RmCore {
             degraded_hw.then_some(&avail),
             self.cfg.solver,
             &mut self.warm,
-            opts,
+            deadline,
         );
         let num_requests = solver_view.len();
         for request in requests {
@@ -1329,19 +1314,6 @@ impl RmCore {
             out.directives.push(directive);
         }
         Ok(out)
-    }
-
-    /// The per-round solver budget from the configuration (whichever axis
-    /// exhausts first wins; both zero = unbounded).
-    fn solve_deadline(&self) -> SolveDeadline {
-        match (self.cfg.solve_deadline_iters, self.cfg.solve_deadline_us) {
-            (0, 0) => SolveDeadline::UNBOUNDED,
-            (it, 0) => SolveDeadline::iterations(it),
-            (0, us) => SolveDeadline::within(std::time::Duration::from_micros(us)),
-            (it, us) => {
-                SolveDeadline::within(std::time::Duration::from_micros(us)).and_iterations(it)
-            }
-        }
     }
 
     /// The solver overran its deadline: keep the previous feasible

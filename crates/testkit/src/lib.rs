@@ -35,9 +35,9 @@
 //!
 //! The chaos suite runs in *quick* mode by default (bounded seeds and trace
 //! lengths, suitable for tier-1 CI). Set `HARP_CHAOS_FULL=1` for a longer
-//! sweep. `HARP_CHAOS_QUICK=1` forces quick mode even if a future default
-//! changes.
+//! sweep.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fault;
@@ -99,11 +99,7 @@ pub fn panic_count() -> usize {
 }
 
 /// Whether the chaos suite should run in quick (CI) mode. Quick is the
-/// default; `HARP_CHAOS_FULL=1` opts into the long sweep and
-/// `HARP_CHAOS_QUICK=1` wins over both.
+/// default; `HARP_CHAOS_FULL=1` opts into the long sweep.
 pub fn quick_mode() -> bool {
-    if std::env::var_os("HARP_CHAOS_QUICK").is_some_and(|v| v == "1") {
-        return true;
-    }
     std::env::var_os("HARP_CHAOS_FULL").is_none_or(|v| v != "1")
 }

@@ -21,8 +21,8 @@
 //! Replays are deterministic: every synthetic observation is a pure
 //! function of the trace, so the same trace yields a bit-identical
 //! [`RmCore::state_fingerprint`] and the same telemetry event count on
-//! every run, at any `solver_threads` setting — the contract the
-//! committed headline corpus pins with `.expect` files.
+//! every run — the contract the committed headline corpus pins with
+//! `.expect` files.
 
 use crate::runner::Oracle;
 use harp_platform::{presets, FaultState, HardwareDescription, CAP_NOMINAL_PERMILLE};
@@ -54,7 +54,7 @@ pub struct ReplayReport {
     /// Lifetime energy-ledger total (µJ) — everything the RM's power
     /// model charged across the replay, conserving over per-session,
     /// idle and retired shares. Integer arithmetic end to end, so it is
-    /// bit-identical at any solver thread count.
+    /// bit-identical from run to run.
     pub energy_uj: u64,
     /// Fault directives replayed from the trace (v2 traces only).
     pub faults: usize,
@@ -153,15 +153,12 @@ fn template_points(
         .collect()
 }
 
-/// Replays a workload trace against a fresh RM with the given solver
-/// thread count (0 = serial). See [`replay_trace`].
-pub fn replay_trace_with(trace: &Trace, solver_threads: u32) -> ReplayReport {
+/// Replays a workload trace against a fresh online-mode RM on the Raptor
+/// Lake preset under the testkit oracles. Deterministic per trace.
+pub fn replay_trace(trace: &Trace) -> ReplayReport {
     let hw = presets::raptor_lake();
     let shape = hw.erv_shape();
-    let mut cfg = RmConfig {
-        solver_threads,
-        ..RmConfig::default()
-    };
+    let mut cfg = RmConfig::default();
     // CI-sized exploration thresholds, as in `run_to_quiescence`: the
     // invariant shapes are unchanged, the constants are smaller.
     cfg.exploration.initial_threshold = 2;
@@ -511,16 +508,6 @@ pub fn replay_trace_with(trace: &Trace, solver_threads: u32) -> ReplayReport {
     report
 }
 
-/// Replays a workload trace with the default (serial) solver, honouring
-/// `HARP_SOLVER_THREADS` like the lifecycle runner does.
-pub fn replay_trace(trace: &Trace) -> ReplayReport {
-    let solver_threads = std::env::var("HARP_SOLVER_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    replay_trace_with(trace, solver_threads)
-}
-
 /// Replays with a thread-local flight recorder installed; returns the
 /// report plus the number of telemetry events recorded. Deterministic per
 /// trace: same trace, same count.
@@ -575,14 +562,11 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_deterministic_across_runs_and_solver_threads() {
+    fn replay_is_deterministic_across_runs() {
         let trace = generate_trace("det", &small_cfg(TraceShape::HeavyTailChurn, 9));
-        let base = replay_trace_with(&trace, 0);
+        let base = replay_trace(&trace);
         assert!(base.passed(), "{:?}", base.violations);
-        for threads in [1u32, 2, 8] {
-            let r = replay_trace_with(&trace, threads);
-            assert_eq!(r, base, "solver_threads={threads} diverged");
-        }
+        assert_eq!(replay_trace(&trace), base, "second replay diverged");
     }
 
     #[test]

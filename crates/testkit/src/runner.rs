@@ -189,20 +189,7 @@ impl Oracle {
 pub fn run_trace(trace: &Trace) -> TraceReport {
     let hw = presets::raptor_lake();
     let shape = hw.erv_shape();
-    // Chaos runs exercise the parallel solver path when asked to
-    // (HARP_SOLVER_THREADS=n) — reports must stay `==` either way, since
-    // parallel solves are bit-identical to serial ones.
-    let solver_threads = std::env::var("HARP_SOLVER_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let mut rm = RmCore::new(
-        hw.clone(),
-        RmConfig {
-            solver_threads,
-            ..RmConfig::default()
-        },
-    );
+    let mut rm = RmCore::new(hw.clone(), RmConfig::default());
     let mut oracle = Oracle::new(hw);
     let mut steps = 0usize;
     let mut directives = 0usize;

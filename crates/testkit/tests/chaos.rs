@@ -1,9 +1,8 @@
 //! The chaos suite: scripted fault scenarios, seeded lifecycle fuzzing,
 //! determinism checks and corpus replay.
 //!
-//! Quick mode (the default, and what `ci.sh` pins with `HARP_CHAOS_QUICK=1`)
-//! keeps seed counts and trace lengths CI-sized; `HARP_CHAOS_FULL=1` runs
-//! the long sweep. Every failure is written to `tests/corpus/` as a
+//! Quick mode (the default, and what `ci.sh` runs) keeps seed counts and
+//! trace lengths CI-sized; `HARP_CHAOS_FULL=1` runs the long sweep. Every failure is written to `tests/corpus/` as a
 //! minimized trace with replay instructions — see `EXPERIMENTS.md`.
 
 use harp_testkit::trace::{Trace, TraceOp};

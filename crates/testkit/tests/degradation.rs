@@ -18,12 +18,12 @@
 //! generator, replays are oracle-clean (now including "no grant ever
 //! names an offline or quarantined core" and exact ledger conservation
 //! across sensor-dark windows), and fingerprints plus fault counters
-//! match the committed `.expect` files at every solver thread count.
+//! match the committed `.expect` files on every run.
 //!
 //! To regenerate after an intentional change, run with
 //! `HARP_TRACE_BLESS=1` and commit the rewritten files.
 
-use harp_testkit::replay::{replay_trace_with, ReplayReport};
+use harp_testkit::replay::{replay_trace, ReplayReport};
 use harp_types::{CoreId, FaultEvent};
 use harp_workload::{generate_trace, Trace, TraceGenConfig, TraceShape};
 use std::path::PathBuf;
@@ -171,7 +171,7 @@ fn committed_fault_corpus_matches_generator() {
 fn committed_fault_corpus_replays_clean_and_matches_expect() {
     for (name, cfg) in degradations() {
         let trace = load_committed(name);
-        let report = replay_trace_with(&trace, 0);
+        let report = replay_trace(&trace);
         assert!(
             report.passed(),
             "{name}: {:?}",
@@ -205,18 +205,15 @@ fn committed_fault_corpus_replays_clean_and_matches_expect() {
     }
 }
 
-/// Solver parallelism has no channel into degraded replays either: every
-/// thread count yields the serial run's report, fingerprint included.
+/// Degraded replays are deterministic too: a second run yields the first
+/// run's report, fingerprint included.
 #[test]
-fn fault_replays_are_bit_identical_across_solver_threads() {
+fn fault_replays_are_bit_identical_across_runs() {
     for (name, _) in degradations() {
         let trace = load_committed(name);
-        let base = replay_trace_with(&trace, 0);
+        let base = replay_trace(&trace);
         assert!(base.passed(), "{name}: {:?}", base.violations);
-        for threads in [1u32, 2, 8] {
-            let r = replay_trace_with(&trace, threads);
-            assert_eq!(r, base, "{name}: solver_threads={threads} diverged");
-        }
+        assert_eq!(replay_trace(&trace), base, "{name}: second replay diverged");
     }
 }
 
@@ -229,7 +226,7 @@ fn fault_replays_are_bit_identical_across_solver_threads() {
 #[test]
 fn no_op_fault_schedules_leave_no_degradation_mark() {
     for (name, cfg) in degradations() {
-        let degraded = replay_trace_with(&load_committed(name), 0);
+        let degraded = replay_trace(&load_committed(name));
         let noop_cfg = TraceGenConfig {
             faults: cfg
                 .faults
@@ -238,7 +235,7 @@ fn no_op_fault_schedules_leave_no_degradation_mark() {
                 .collect(),
             ..cfg
         };
-        let benign = replay_trace_with(&generate_trace(name, &noop_cfg), 0);
+        let benign = replay_trace(&generate_trace(name, &noop_cfg));
         assert!(degraded.passed(), "{name}: {:?}", degraded.violations);
         assert!(benign.passed(), "{name}: {:?}", benign.violations);
         assert_eq!(
@@ -282,7 +279,7 @@ fn print_degradation_matrix() {
                 faults,
             };
             let trace = generate_trace(label, &cfg);
-            let r = replay_trace_with(&trace, 0);
+            let r = replay_trace(&trace);
             println!(
                 "{label} | {failed} | {} | {} | {}",
                 r.energy_uj,

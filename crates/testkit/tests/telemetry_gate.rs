@@ -4,14 +4,14 @@
 //! subscriber in the same process. The gate fails on:
 //!
 //! * ledger non-conservation — per-tick (oracle check inside the replay)
-//!   or lifetime (`conservation_error != 0`), at any solver thread count;
-//! * solver-thread divergence of the bit-exact ledger total;
+//!   or lifetime (`conservation_error != 0`);
+//! * run-to-run divergence of the bit-exact ledger total;
 //! * dropped-frame miscounts — [`TelemetrySubscription::next_frame`]
 //!   errors unless `seq == delivered + dropped_frames` on every frame;
 //! * frame rows that do not reassemble the frame's tick total.
 
 use harp_daemon::{DaemonConfig, HarpDaemon, UnixTransport};
-use harp_testkit::replay::replay_trace_with;
+use harp_testkit::replay::replay_trace;
 use harp_workload::Trace;
 use libharp::TelemetrySubscription;
 use std::path::PathBuf;
@@ -43,7 +43,7 @@ fn headline_replay_under_live_subscription_conserves_and_accounts() {
     // any tick whose attributed + idle energy misses the tick total.
     let replayer = std::thread::spawn(|| {
         let trace = load_headline("headline-flash-crowd");
-        (replay_trace_with(&trace, 0), replay_trace_with(&trace, 2))
+        (replay_trace(&trace), replay_trace(&trace))
     });
 
     // Drain frames while the replay runs; `next_frame` itself fails the
@@ -63,19 +63,15 @@ fn headline_replay_under_live_subscription_conserves_and_accounts() {
         // global metrics registry riding along in the frame deltas.
         saw_rm_metrics |= f.metrics_jsonl.contains("\"solver.");
     }
-    let (serial, threaded) = replayer.join().unwrap();
+    let (first, second) = replayer.join().unwrap();
     daemon.shutdown();
 
-    assert!(serial.passed(), "serial replay: {:?}", serial.violations);
-    assert!(
-        threaded.passed(),
-        "threaded replay: {:?}",
-        threaded.violations
-    );
-    assert!(serial.energy_uj > 0, "replay charged no energy");
+    assert!(first.passed(), "first replay: {:?}", first.violations);
+    assert!(second.passed(), "second replay: {:?}", second.violations);
+    assert!(first.energy_uj > 0, "replay charged no energy");
     assert_eq!(
-        serial.energy_uj, threaded.energy_uj,
-        "ledger total diverged between solver thread counts"
+        first.energy_uj, second.energy_uj,
+        "ledger total diverged between runs"
     );
     assert!(frames >= 5, "subscription delivered too few frames");
     assert_eq!(sub.delivered(), frames);

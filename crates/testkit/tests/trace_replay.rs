@@ -22,7 +22,7 @@
 //! To regenerate the corpus after an intentional change, run with
 //! `HARP_TRACE_BLESS=1` and commit the rewritten files.
 
-use harp_testkit::replay::{replay_trace_with, replay_trace_with_telemetry, ReplayReport};
+use harp_testkit::replay::{replay_trace, replay_trace_with_telemetry, ReplayReport};
 use harp_workload::{generate_trace, Trace, TraceGenConfig, TraceShape};
 use std::path::PathBuf;
 
@@ -182,40 +182,21 @@ fn replaying_a_committed_trace_twice_is_bit_identical() {
     assert_eq!(first_events, second_events, "telemetry counts diverged");
 }
 
-/// Solver parallelism has no channel into replay results: every thread
-/// count yields the serial run's report, fingerprint included.
+/// The energy ledger conserves on every committed headline trace and a
+/// second replay yields the same report, ledger total and fingerprint
+/// included. The per-tick apportionment check itself runs inside the
+/// replay oracle (`absorb`); a non-conserving tick would fail
+/// `report.passed()`.
 #[test]
-fn committed_trace_replay_ignores_solver_threads() {
-    let trace = load_committed("headline-heavy-tail-churn");
-    let base = replay_trace_with(&trace, 0);
-    assert!(base.passed(), "{:?}", base.violations);
-    for threads in [1u32, 2, 8] {
-        let r = replay_trace_with(&trace, threads);
-        assert_eq!(r, base, "solver_threads={threads} changed the replay");
-    }
-}
-
-/// The energy ledger conserves on every committed headline trace and the
-/// lifetime total is bit-identical at every solver thread count. The
-/// per-tick apportionment check itself runs inside the replay oracle
-/// (`absorb`); a non-conserving tick would fail `report.passed()`.
-#[test]
-fn committed_corpus_conserves_ledger_energy_across_solver_threads() {
+fn committed_corpus_conserves_ledger_energy_and_replays_identically() {
     for (name, _) in headlines() {
         let trace = load_committed(name);
-        let base = replay_trace_with(&trace, 0);
+        let base = replay_trace(&trace);
         assert!(base.passed(), "{name}: {:?}", base.violations);
         assert!(
             base.energy_uj > 0,
             "{name}: replay charged no energy to the ledger"
         );
-        for threads in [1u32, 2, 8] {
-            let r = replay_trace_with(&trace, threads);
-            assert!(r.passed(), "{name} threads={threads}: {:?}", r.violations);
-            assert_eq!(
-                r.energy_uj, base.energy_uj,
-                "{name}: ledger total diverged at solver_threads={threads}"
-            );
-        }
+        assert_eq!(replay_trace(&trace), base, "{name}: second replay diverged");
     }
 }

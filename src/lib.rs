@@ -29,6 +29,8 @@
 //! assert_eq!(erv.total_threads(), 32);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use harp_alloc as alloc;
 pub use harp_bench as bench;
 pub use harp_energy as energy;
