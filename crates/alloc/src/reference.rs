@@ -7,14 +7,11 @@
 //! `ResourceVector` per evaluation), and runs a fixed 60-iteration
 //! subgradient schedule with no state carried between solves.
 //!
-//! It exists for two reasons:
-//!
-//! 1. **Differential testing.** The property tests in
-//!    `tests/prop_alloc.rs` assert that the engine's cold-start output is
-//!    cost-equal to this solver on every seeded instance, and that
-//!    dominance pruning never changes the exact optimum.
-//! 2. **Benchmark baseline.** `BENCH_solver.json` reports the engine's
-//!    speedup over this implementation (`benches/solver.rs`).
+//! It exists for differential testing: the property tests in
+//! `tests/prop_alloc.rs` assert that the engine's cold-start output is
+//! cost-equal to this solver on every seeded instance, and that
+//! dominance pruning never changes the exact optimum. Its fixed schedule
+//! is also the unit of [`crate::Selection::work`].
 //!
 //! Do not "optimize" this module — its value is being the fixed reference.
 

@@ -1,12 +1,12 @@
 //! Process-global solver counters for the experiment harness.
 //!
 //! Every call to [`crate::select`] (and therefore every allocation round)
-//! records its wall time and outcome here with relaxed atomics. The bench
-//! binaries (`tab_overhead`, `headline_summary`) print a snapshot after
-//! their tables so real solver cost shows up next to the modeled
-//! `solve_cost_ns` overhead — *outside* the rendered tables, which the
-//! harness byte-compares across worker counts and must stay wall-clock
-//! free.
+//! records its wall time and outcome here with relaxed atomics.
+//! `tab_overhead` prints a snapshot after its table so real solver cost
+//! shows up next to the modeled `solve_cost_ns` overhead — *outside* the
+//! rendered table, which is byte-compared across worker counts and must
+//! stay wall-clock free — and the `benchmark/` package reads the same
+//! counters for its `sched.*` layer.
 
 use crate::solvers::SolveOutcome;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,238 +1,20 @@
 //! Regenerates the abstract's headline numbers from full Fig. 6 + Fig. 7
 //! runs (slow; pass `--reduced` for a coarse estimate).
-//!
-//! The binary doubles as the harness's own benchmark: it computes both
-//! figures twice — once serially (1 worker) and once on the full worker
-//! pool — verifies the rendered tables are byte-identical, and writes the
-//! wall-clock and profile-cache statistics to `BENCH_harness.json`
-//! (machine-readable; path overridable via `HARP_BENCH_JSON`). Both
-//! passes start from a cold in-memory cache with disk spilling disabled,
-//! so the comparison measures the worker pool alone. Timings are
-//! median-of-N after an untimed warm-up pass (one-shot A/B timing made
-//! the later configuration look faster than the earlier one).
-use harp_bench::tables::headline_from_rows;
-use harp_bench::{cache, fig6, fig7, jobs};
-use std::time::Instant;
-
-struct Pass {
-    fig6_s: f64,
-    fig7_s: f64,
-    hits: u64,
-    misses: u64,
-    rows6: Vec<fig6::ScenarioRow>,
-    rows7: Vec<fig7::ScenarioRow>,
-}
-
-fn run_pass(o6: &fig6::Fig6Options, o7: &fig7::Fig7Options) -> Result<Pass, harp_types::HarpError> {
-    cache::reset();
-    let t = Instant::now();
-    let rows6 = fig6::run_rows(o6)?;
-    let fig6_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let rows7 = fig7::run_rows(o7)?;
-    let fig7_s = t.elapsed().as_secs_f64();
-    Ok(Pass {
-        fig6_s,
-        fig7_s,
-        hits: cache::hits(),
-        misses: cache::misses(),
-        rows6,
-        rows7,
-    })
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
-
-/// Runs `reps` passes and reports the median per-figure wall time (rows
-/// and cache statistics come from the last pass; every pass produces
-/// identical rows by construction). One-shot timings made the A/B
-/// sections below order-sensitive: whichever configuration ran first
-/// paid the process's warm-up (first-touch pages, lazy statics) and the
-/// comparison read as a spurious speedup for the later one — the
-/// committed artifact once claimed tracing was 24% *faster* than not
-/// tracing.
-fn run_pass_median(
-    reps: usize,
-    o6: &fig6::Fig6Options,
-    o7: &fig7::Fig7Options,
-) -> Result<Pass, harp_types::HarpError> {
-    let mut f6 = Vec::new();
-    let mut f7 = Vec::new();
-    let mut last = None;
-    for _ in 0..reps.max(1) {
-        let p = run_pass(o6, o7)?;
-        f6.push(p.fig6_s);
-        f7.push(p.fig7_s);
-        last = Some(p);
-    }
-    let mut p = last.expect("reps >= 1");
-    p.fig6_s = median(f6);
-    p.fig7_s = median(f7);
-    Ok(p)
-}
-
+use harp_bench::tables::headline;
+use harp_bench::{fig6, fig7};
 fn main() {
+    harp_bench::cache::set_spill_dir(harp_bench::cache::default_spill());
     let reduced = std::env::args().any(|a| a == "--reduced");
     let (o6, o7) = if reduced {
         (fig6::Fig6Options::reduced(), fig7::Fig7Options::reduced())
     } else {
         (fig6::Fig6Options::default(), fig7::Fig7Options::default())
     };
-
-    // Reduced passes are seconds, so a median-of-3 is affordable; the
-    // full figures take minutes per pass and rely on the warm-up pass
-    // alone.
-    let reps = if reduced { 3 } else { 1 };
-
-    // Cold cache, no spill: time the worker pool itself.
-    cache::set_spill_dir(None);
-    jobs::set_worker_override(Some(1));
-    // Untimed warm-up so the first timed configuration doesn't absorb
-    // process start-up costs (see `run_pass_median`).
-    if let Err(e) = run_pass(&o6, &o7) {
-        eprintln!("headline_summary (warm-up pass): {e}");
-        std::process::exit(1);
-    }
-    let serial = match run_pass_median(reps, &o6, &o7) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("headline_summary (serial pass): {e}");
-            std::process::exit(1);
-        }
-    };
-    jobs::set_worker_override(None);
-    let workers = jobs::worker_count();
-    let parallel = match run_pass_median(reps, &o6, &o7) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("headline_summary (parallel pass): {e}");
-            std::process::exit(1);
-        }
-    };
-
-    // Third configuration with the harp-obs global collector on: records
-    // what end-to-end tracing costs the harness, and that it cannot
-    // perturb the simulated results.
-    harp_obs::enable_global();
-    let traced = match run_pass_median(reps, &o6, &o7) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("headline_summary (traced pass): {e}");
-            std::process::exit(1);
-        }
-    };
-    harp_obs::disable_global();
-    let telemetry = harp_obs::dump_global(false);
-    let events_recorded = harp_obs::render::parse_dump(&telemetry)
-        .map(|d| d.recorded)
-        .unwrap_or(0);
-    let events_dropped = harp_obs::global_dropped();
-    harp_obs::reset_global();
-
-    let identical = fig6::render(&serial.rows6) == fig6::render(&parallel.rows6)
-        && fig7::render(&serial.rows7) == fig7::render(&parallel.rows7);
-    if !identical {
-        eprintln!("headline_summary: parallel output differs from serial output");
-    }
-    let traced_identical = fig6::render(&traced.rows6) == fig6::render(&parallel.rows6)
-        && fig7::render(&traced.rows7) == fig7::render(&parallel.rows7);
-    if !traced_identical {
-        eprintln!("headline_summary: tracing perturbed the rendered output");
-    }
-
-    match headline_from_rows(&parallel.rows6, &parallel.rows7) {
+    match headline(&o6, &o7) {
         Ok(table) => print!("{table}"),
         Err(e) => {
             eprintln!("headline_summary: {e}");
             std::process::exit(1);
         }
-    }
-
-    let serial_total = serial.fig6_s + serial.fig7_s;
-    let parallel_total = parallel.fig6_s + parallel.fig7_s;
-    let traced_total = traced.fig6_s + traced.fig7_s;
-    let obs_overhead_pct = (traced_total - parallel_total) / parallel_total.max(1e-9) * 100.0;
-    // Normalize the tracing cost by event volume: the percentage alone
-    // reads as alarming (+33% on a seconds-long reduced run) when the
-    // honest unit is "a few microseconds per recorded event".
-    let per_event_ns = if events_recorded > 0 {
-        (traced_total - parallel_total) * 1e9 / events_recorded as f64
-    } else {
-        0.0
-    };
-    println!(
-        "\nHarness: serial {serial_total:.1}s vs {workers} workers {parallel_total:.1}s \
-         ({:.2}x speedup, outputs {})",
-        serial_total / parallel_total.max(1e-9),
-        if identical { "identical" } else { "DIFFERENT" }
-    );
-    println!(
-        "Tracing: {traced_total:.1}s with the collector on ({obs_overhead_pct:+.1}%, \
-         {per_event_ns:.0} ns/event over {events_recorded} events, \
-         {events_dropped} dropped, outputs {})",
-        if traced_identical {
-            "identical"
-        } else {
-            "DIFFERENT"
-        }
-    );
-    // Aggregate solver cost across both passes (printed, never rendered
-    // into the byte-compared tables).
-    let s = harp_alloc::stats::snapshot();
-    println!(
-        "Solver: {} solves in {:.1} ms wall ({} memo hits, {} certified early exits, {} full)",
-        s.solves,
-        s.wall_ms(),
-        s.memo_hits,
-        s.certified,
-        s.full
-    );
-
-    let json = format!(
-        "{{\n  \"reduced\": {reduced},\n  \"workers\": {workers},\n  \"figures\": [\n    \
-         {{\"figure\": \"fig6\", \"serial_s\": {:.3}, \"parallel_s\": {:.3}}},\n    \
-         {{\"figure\": \"fig7\", \"serial_s\": {:.3}, \"parallel_s\": {:.3}}}\n  ],\n  \
-         \"total\": {{\"serial_s\": {serial_total:.3}, \"parallel_s\": {parallel_total:.3}, \
-         \"speedup\": {:.3}}},\n  \
-         \"cache\": {{\"serial\": {{\"hits\": {}, \"misses\": {}}}, \
-         \"parallel\": {{\"hits\": {}, \"misses\": {}}}}},\n  \
-         \"obs\": {{\"disabled_s\": {parallel_total:.3}, \"enabled_s\": {traced_total:.3}, \
-         \"overhead_pct\": {obs_overhead_pct:.3}, \"per_event_ns\": {per_event_ns:.1}, \
-         \"events_recorded\": {events_recorded}, \
-         \"events_dropped\": {events_dropped}, \"outputs_identical\": {traced_identical}}},\n  \
-         \"outputs_identical\": {identical}\n}}\n",
-        serial.fig6_s,
-        parallel.fig6_s,
-        serial.fig7_s,
-        parallel.fig7_s,
-        serial_total / parallel_total.max(1e-9),
-        serial.hits,
-        serial.misses,
-        parallel.hits,
-        parallel.misses,
-    );
-    let path =
-        std::env::var("HARP_BENCH_JSON").unwrap_or_else(|_| "BENCH_harness.json".to_string());
-    // Read-modify-write: the `storm` section belongs to `storm_bench`;
-    // regenerating the headline numbers must not erase it.
-    let mut doc: serde_json::JsonValue =
-        serde_json::from_str(&json).expect("self-built headline JSON parses");
-    let prev_storm = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|t| serde_json::from_str::<serde_json::JsonValue>(&t).ok())
-        .and_then(|prev| prev.get("storm").cloned());
-    if let (serde_json::JsonValue::Obj(fields), Some(storm)) = (&mut doc, prev_storm) {
-        fields.push(("storm".to_string(), storm));
-    }
-    let mut rendered = serde_json::to_string_pretty(&doc).expect("serializable");
-    rendered.push('\n');
-    if let Err(e) = std::fs::write(&path, rendered) {
-        eprintln!("headline_summary: cannot write {path}: {e}");
-    }
-    if !identical || !traced_identical {
-        std::process::exit(1);
     }
 }

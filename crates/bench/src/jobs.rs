@@ -9,8 +9,7 @@
 //!
 //! The pool size comes from, in priority order:
 //!
-//! 1. [`set_worker_override`] (used by tests and the `headline_summary`
-//!    serial-vs-parallel measurement),
+//! 1. [`set_worker_override`] (used by tests),
 //! 2. the `HARP_BENCH_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 
@@ -110,9 +109,8 @@ static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Overrides the worker-pool size for this process, taking precedence over
 /// `HARP_BENCH_THREADS`. `None` (or `Some(0)`) removes the override.
 ///
-/// This exists so tests and the `headline_summary` serial-vs-parallel
-/// comparison can vary the pool size without mutating the process
-/// environment (which is racy under a multi-threaded test runner).
+/// This exists so tests can vary the pool size without mutating the
+/// process environment (which is racy under a multi-threaded test runner).
 pub fn set_worker_override(workers: Option<usize>) {
     WORKER_OVERRIDE.store(workers.unwrap_or(0), Ordering::SeqCst);
 }

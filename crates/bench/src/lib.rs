@@ -12,7 +12,7 @@
 //! | §6.6 | RM overhead | [`tables`] | `tab_overhead` |
 //! | §5.1 | energy-attribution accuracy (MAPE 8.76 %) | [`tables`] | `tab_attribution` |
 //! | headline | avg 12 % time / 28 % energy | [`tables`] | `headline_summary` |
-//! | daemon storm | reactor connection-storm throughput (DESIGN.md §12) | [`storm`] | `storm_bench` |
+//! | ablations | solver / exploration / EMA design choices (DESIGN.md §3) | — | `tab_ablations` |
 //!
 //! The shared machinery lives in [`runner`] (scenario execution under any
 //! manager, improvement factors), [`dse`] (offline design-space
@@ -26,7 +26,8 @@
 //! Absolute numbers depend on the calibrated simulator, not the authors'
 //! testbed; the harness asserts and reports the *shape* of every result
 //! (who wins, by roughly what factor). `EXPERIMENTS.md` records
-//! paper-vs-measured values.
+//! paper-vs-measured values. Nothing here reports wall-clock performance
+//! of the stack itself: that is the standalone `benchmark/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +41,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod jobs;
 pub mod runner;
-pub mod storm;
 pub mod tables;
 
 /// Formats an improvement factor the way the paper's figures label bars.

@@ -393,30 +393,16 @@ pub fn attribution_table(scenarios: &[Scenario]) -> Result<String> {
 pub fn headline(fig6_opts: &fig6::Fig6Options, fig7_opts: &fig7::Fig7Options) -> Result<String> {
     let rows6 = fig6::run_rows(fig6_opts)?;
     let rows7 = fig7::run_rows(fig7_opts)?;
-    headline_from_rows(&rows6, &rows7)
-}
-
-/// Renders the headline summary from already-computed Fig. 6 and Fig. 7
-/// rows (the `headline_summary` binary computes the rows itself so it can
-/// time them serial-vs-parallel and compare the outputs).
-///
-/// # Errors
-///
-/// Returns an error if the rows are empty (no geometric mean).
-pub fn headline_from_rows(
-    rows6: &[fig6::ScenarioRow],
-    rows7: &[fig7::ScenarioRow],
-) -> Result<String> {
     // Intel: the online-HARP variant (single + multi); Odroid: offline.
     let mut times = Vec::new();
     let mut energies = Vec::new();
-    for r in rows6 {
+    for r in &rows6 {
         if let Some((_, imp)) = r.variants.iter().find(|(k, _)| *k == ManagerKind::Harp) {
             times.push(imp.time);
             energies.push(imp.energy);
         }
     }
-    for r in rows7 {
+    for r in &rows7 {
         times.push(r.harp.time);
         energies.push(r.harp.energy);
     }

@@ -15,8 +15,8 @@ use std::time::Duration;
 /// The socket is non-blocking; an incremental [`FrameDecoder`] reassembles
 /// partial reads, so [`libharp::Transport::try_recv`] never blocks and
 /// never tears a partially-read frame. No reader thread is spawned — a
-/// process with hundreds of HARP sessions (the connection-storm bench)
-/// costs one file descriptor per session, not one thread.
+/// process with hundreds of HARP sessions costs one file descriptor per
+/// session, not one thread.
 #[derive(Debug)]
 pub struct UnixTransport {
     stream: UnixStream,

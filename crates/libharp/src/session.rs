@@ -98,6 +98,25 @@ impl ReconnectPolicy {
         self.seed = seed.max(1);
         self
     }
+
+    /// Backoff before retry `attempt`: exponential in the attempt count,
+    /// capped, with equal jitter (half fixed, half uniform) from an
+    /// xorshift64 step on `rng` — no external randomness dependency,
+    /// deterministic under a seed.
+    pub(crate) fn backoff(&self, attempt: u32, rng: &mut u64) -> Duration {
+        let exp = self
+            .base
+            .saturating_mul(1u32 << attempt.saturating_sub(1).min(20))
+            .min(self.cap);
+        let nanos = exp.as_nanos().min(u128::from(u64::MAX)) as u64;
+        let half = (nanos / 2).max(1);
+        let mut x = *rng;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *rng = x.max(1);
+        Duration::from_nanos(half + x % half)
+    }
 }
 
 /// An operating-point activation as delivered to the application.
@@ -579,27 +598,8 @@ impl<T: Transport> HarpSession<T> {
         Ok(())
     }
 
-    /// Next backoff delay: exponential in the attempt count, capped, with
-    /// equal jitter (half fixed, half uniform) from an xorshift64 PRNG —
-    /// no external randomness dependency, deterministic under a seed.
     fn backoff(&mut self) -> Duration {
-        let exp = self
-            .policy
-            .base
-            .saturating_mul(1u32 << self.attempt.saturating_sub(1).min(20))
-            .min(self.policy.cap);
-        let nanos = exp.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let half = (nanos / 2).max(1);
-        Duration::from_nanos(half + self.next_rand() % half)
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x.max(1);
-        x
+        self.policy.backoff(self.attempt, &mut self.rng)
     }
 
     fn handle_message(&mut self, msg: Message, utility: &mut impl FnMut() -> f64) -> Result<()> {

@@ -23,7 +23,6 @@
 use crate::{ReconnectPolicy, Transport};
 use harp_proto::{Message, SubscribeTelemetry, TelemetryFrame};
 use harp_types::{HarpError, Result};
-use std::time::Duration;
 
 type TransportFactory<T> = Box<dyn FnMut() -> Result<T> + Send>;
 
@@ -185,33 +184,11 @@ impl<T: Transport> TelemetrySubscription<T> {
                              (watch lost to: {cause}; last error: {e})"
                         )));
                     }
-                    std::thread::sleep(self.backoff(attempt));
+                    std::thread::sleep(self.policy.backoff(attempt, &mut self.rng));
                 }
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    /// Backoff before retry `attempt`: exponential with equal jitter,
-    /// the same shape as the session reconnect path.
-    fn backoff(&mut self, attempt: u32) -> Duration {
-        let exp = self
-            .policy
-            .base
-            .saturating_mul(1u32 << attempt.saturating_sub(1).min(20))
-            .min(self.policy.cap);
-        let nanos = exp.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let half = (nanos / 2).max(1);
-        Duration::from_nanos(half + self.next_rand() % half)
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x.max(1);
-        x
     }
 
     /// Frames delivered to this subscriber on the current stream.
@@ -234,6 +211,7 @@ impl<T: Transport> TelemetrySubscription<T> {
 mod tests {
     use super::*;
     use harp_proto::{duplex, SessionEnergy};
+    use std::time::Duration;
 
     fn frame(seq: u64, dropped: u64) -> Message {
         Message::TelemetryFrame(TelemetryFrame {

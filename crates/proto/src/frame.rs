@@ -1,9 +1,10 @@
 //! Length-prefixed framing for byte-stream transports (Unix sockets).
 //!
 //! Each frame is a little-endian `u32` length followed by the encoded
-//! [`crate::Message`]. The daemon (`harp-daemon`) wraps
-//! `UnixStream`s in [`Framed`]; tests exercise the same code over in-memory
-//! buffers.
+//! [`crate::Message`]. Blocking peers (`libharp`, tests) call
+//! [`write_frame`] / [`read_frame`] on the stream directly; the daemon's
+//! non-blocking reactor shards feed socket reads through a
+//! [`FrameDecoder`] and batch outbound [`encode_frame`] buffers.
 
 use crate::Message;
 use harp_types::{HarpError, Result};
@@ -66,6 +67,22 @@ pub fn encode_frame(msg: &Message) -> Result<Vec<u8>> {
 ///
 /// Returns [`HarpError::Io`] on read failure, [`HarpError::Protocol`] on an
 /// oversized frame, a mid-frame end-of-stream, or a malformed body.
+///
+/// # Example
+///
+/// ```
+/// use harp_proto::frame::{write_frame, read_frame};
+/// use harp_proto::Message;
+///
+/// let mut buf = Vec::new();
+/// write_frame(&mut buf, &Message::Exit { app_id: 1 })?;
+/// write_frame(&mut buf, &Message::Exit { app_id: 2 })?;
+/// let mut cursor = std::io::Cursor::new(buf);
+/// assert_eq!(read_frame(&mut cursor)?, Some(Message::Exit { app_id: 1 }));
+/// assert_eq!(read_frame(&mut cursor)?, Some(Message::Exit { app_id: 2 }));
+/// assert_eq!(read_frame(&mut cursor)?, None);
+/// # Ok::<(), harp_types::HarpError>(())
+/// ```
 pub fn read_frame<R: Read>(mut r: R) -> Result<Option<Message>> {
     let mut len_buf = [0u8; 4];
     // Distinguish clean EOF (zero bytes) from a truncated prefix.
@@ -254,58 +271,6 @@ impl FrameDecoder {
     }
 }
 
-/// A framed transport over any `Read + Write` stream.
-///
-/// # Example
-///
-/// ```
-/// use harp_proto::frame::{write_frame, read_frame};
-/// use harp_proto::Message;
-///
-/// let mut buf = Vec::new();
-/// write_frame(&mut buf, &Message::Exit { app_id: 1 })?;
-/// write_frame(&mut buf, &Message::Exit { app_id: 2 })?;
-/// let mut cursor = std::io::Cursor::new(buf);
-/// assert_eq!(read_frame(&mut cursor)?, Some(Message::Exit { app_id: 1 }));
-/// assert_eq!(read_frame(&mut cursor)?, Some(Message::Exit { app_id: 2 }));
-/// assert_eq!(read_frame(&mut cursor)?, None);
-/// # Ok::<(), harp_types::HarpError>(())
-/// ```
-#[derive(Debug)]
-pub struct Framed<S> {
-    stream: S,
-}
-
-impl<S: Read + Write> Framed<S> {
-    /// Wraps a stream.
-    pub fn new(stream: S) -> Self {
-        Framed { stream }
-    }
-
-    /// Consumes the wrapper and returns the underlying stream.
-    pub fn into_inner(self) -> S {
-        self.stream
-    }
-
-    /// Sends one message.
-    ///
-    /// # Errors
-    ///
-    /// See [`write_frame`].
-    pub fn send(&mut self, msg: &Message) -> Result<()> {
-        write_frame(&mut self.stream, msg)
-    }
-
-    /// Receives the next message, or `None` at a clean end-of-stream.
-    ///
-    /// # Errors
-    ///
-    /// See [`read_frame`].
-    pub fn recv(&mut self) -> Result<Option<Message>> {
-        read_frame(&mut self.stream)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,17 +415,5 @@ mod tests {
             assert!(dec.next_frame().unwrap().is_none());
         }
         assert!(dec.is_clean());
-    }
-
-    #[test]
-    fn framed_wrapper_works_over_cursor() {
-        let mut inner = Vec::new();
-        {
-            let mut framed = Framed::new(Cursor::new(&mut inner));
-            framed.send(&Message::Exit { app_id: 42 }).unwrap();
-        }
-        let mut framed = Framed::new(Cursor::new(inner));
-        assert_eq!(framed.recv().unwrap(), Some(Message::Exit { app_id: 42 }));
-        assert_eq!(framed.recv().unwrap(), None);
     }
 }

@@ -8,8 +8,9 @@
 //! * [`wire`] — low-level encoding primitives over [`bytes`] buffers.
 //! * [`Message`] — the protocol message set: registration, operating-point
 //!   submission, activation, utility feedback, exit.
-//! * [`frame`] — length-prefixed framing for byte streams (Unix sockets) and
-//!   the [`frame::Framed`] reader/writer helpers.
+//! * [`frame`] — length-prefixed framing for byte streams (Unix sockets):
+//!   blocking [`frame::write_frame`] / [`frame::read_frame`] and the
+//!   incremental, zero-copy [`frame::FrameDecoder`].
 //! * [`duplex`] — an in-process transport pair used by the simulator and by
 //!   tests; the daemon (`harp-daemon`) speaks the same frames over real
 //!   `UnixStream`s.

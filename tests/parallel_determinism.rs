@@ -1,11 +1,12 @@
 //! The parallel harness must be a pure optimization: for a fixed seed the
 //! job-pool runner has to produce bit-identical metrics for any worker
 //! count, and the profile cache has to return exactly what a cold
-//! computation would.
+//! computation would. Likewise tracing: a run with the `harp-obs` global
+//! collector on must produce the same bits as one with it off.
 //!
-//! Everything lives in one `#[test]` because the worker-count override is
-//! process-global state (the libtest runner executes sibling tests
-//! concurrently).
+//! Everything lives in one `#[test]` because the worker-count override
+//! and the global collector are process-global state (the libtest runner
+//! executes sibling tests concurrently).
 
 use harp::bench::runner::{ManagerKind, RunMetrics, RunOptions};
 use harp::bench::{cache, dse, jobs};
@@ -68,6 +69,27 @@ fn parallel_runner_and_cache_are_bit_identical_to_serial() {
     )
     .expect("run_repeated");
     assert_eq!(bits(folded), bits(repeated), "fold vs run_repeated");
+
+    // --- Tracing is observation only. ---------------------------------
+    // The reduced Fig. 6 multi-application scenario under online HARP
+    // (RM ticks, exploration, solver rounds all emit events) with the
+    // global collector on: same metric bits, nothing dropped.
+    let sc = Scenario::of(Platform::RaptorLake, &["cg", "ep", "ft"]);
+    let run = || {
+        harp::bench::runner::run_scenario(Platform::RaptorLake, &sc, ManagerKind::Harp, &opts)
+            .expect("harp run")
+    };
+    let untraced = run();
+    harp::obs::enable_global();
+    let traced = run();
+    harp::obs::disable_global();
+    let recorded = harp::obs::render::parse_dump(&harp::obs::dump_global(false))
+        .expect("own dump parses")
+        .recorded;
+    harp::obs::reset_global();
+    assert!(recorded > 0, "the traced run recorded no events");
+    assert_eq!(bits(traced), bits(untraced), "tracing perturbed the run");
+    assert_eq!(harp::obs::global_dropped(), 0, "collector dropped events");
 
     // --- Profile cache: hit == cold computation. ----------------------
     cache::reset();
