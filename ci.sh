@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, build, the tier-1 test suite, the whole
-# workspace's tests, and the reference benchmark's own oracle tests.
+# Local CI gate: formatting, lints, the dependency audit, build, the tier-1
+# test suite, the whole workspace's tests, and the reference benchmark's own
+# oracle tests.
 # Run from the repository root. Fails fast on the first violation.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -10,6 +11,31 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
+
+echo "==> dependency audit (normal deps are what non-test source names; harpd links no simulator)"
+# Every [dependencies] key of a first-party crate must be named by a
+# non-comment line of that crate's src/ above the file's first
+# #[cfg(test)]; what only tests or doctests use goes under
+# [dev-dependencies]. And the daemon's normal graph stays free of the
+# simulator, the workloads, the harness and the test toolkits.
+unused=""
+for manifest in crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    code=$(find "$dir/src" -name '*.rs' -exec awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t && !/^[ \t]*\/\//' {} +)
+    for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]") } on && /^[a-z]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+        grep -qw "${dep//-/_}" <<<"$code" || unused="$unused $dir:$dep"
+    done
+done
+if [ -n "$unused" ]; then
+    echo "[dependencies] entries no non-test source line names:$unused"
+    exit 1
+fi
+linked=$(cargo tree -p harp-daemon -e normal |
+    grep -oE 'harp-(sim|workload|bench|testkit)|proptest' | sort -u || true)
+if [ -n "$linked" ]; then
+    echo "harp-daemon's normal dependency graph links:" $linked
+    exit 1
+fi
 
 echo "==> unsafe gate (non-test unsafe stays in its three homes)"
 # Raw syscalls (compat/reactor), thread affinity (daemon) and the obs

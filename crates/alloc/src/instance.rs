@@ -12,7 +12,7 @@
 //! Dominance pruning never changes the optimal cost (a dominated option can
 //! be replaced by its dominator in any selection without raising cost or
 //! demand), which the property tests verify against the unpruned
-//! [`crate::reference`] solver.
+//! reference solver (`tests/reference/`).
 //!
 //! [`Totals`] maintains the running per-kind demand of a selection under
 //! swap deltas, so the repair and upgrade phases evaluate a candidate swap

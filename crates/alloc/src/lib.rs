@@ -52,7 +52,6 @@
 
 mod assign;
 mod instance;
-pub mod reference;
 mod solvers;
 pub mod stats;
 
@@ -132,8 +131,8 @@ pub struct Allocation {
     pub total_cost: f64,
     /// Solve effort as a fraction of the reference solver's fixed
     /// iteration schedule (see [`Selection::work`]); `1.0` for full solves
-    /// and the co-allocation fallback. The RM scales its modeled
-    /// `solve_cost_ns` overhead by this.
+    /// and the co-allocation fallback. The simulator frontend scales its
+    /// modeled solve cost by this.
     pub solve_work: f64,
 }
 

@@ -25,9 +25,9 @@
 //!    percent above it on instances of 40+ apps (`tests/prop_alloc.rs`).
 //!
 //! Cold-start behavior is conservative by construction: the subgradient
-//! trajectory (step sizes, tie-breaking, update order) replicates
-//! [`crate::reference`] exactly, which the property tests in
-//! `tests/prop_alloc.rs` verify on seeded instances.
+//! trajectory (step sizes, tie-breaking, update order) replicates the
+//! frozen pre-engine solver in `tests/reference/` exactly, which the
+//! property tests in `tests/prop_alloc.rs` verify on seeded instances.
 
 use crate::instance::{SolveInstance, SolveScratch, Totals, WarmStart};
 use crate::AllocRequest;
@@ -70,8 +70,8 @@ impl SolveOutcome {
 }
 
 /// The subgradient iteration count of the reference solver; `work == 1.0`
-/// corresponds to this effort (the `solve_cost_ns` overhead model in
-/// `crates/rm` is calibrated against it).
+/// corresponds to this effort (the `SOLVE_COST_NS` overhead model in
+/// `crates/sched` is calibrated against it).
 pub const REFERENCE_ITERS: u32 = 60;
 
 /// A cooperative budget for one solve: a cap on total subgradient
@@ -121,7 +121,8 @@ pub struct Selection {
     pub cost: f64,
     /// Solve effort as a fraction of the reference solver's fixed
     /// 60-iteration schedule (memo hits cost `1/60`, certified exits
-    /// `iterations/60`). The RM scales its modeled `solve_cost_ns` by this.
+    /// `iterations/60`). The simulator frontend scales its modeled solve
+    /// cost by this.
     pub work: f64,
     /// How the answer was produced.
     pub outcome: SolveOutcome,
@@ -754,7 +755,11 @@ mod tests {
     }
 
     fn feasible(reqs: &[AllocRequest], picks: &[usize], capacity: &ResourceVector) -> bool {
-        crate::reference::is_feasible(reqs, picks, capacity)
+        let used = reqs.iter().zip(picks).fold(
+            ResourceVector::zero(capacity.num_kinds()),
+            |used, (r, &p)| used.checked_add(&r.options[p].demand()).unwrap(),
+        );
+        used.fits_within(capacity)
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every call to [`crate::select`] (and therefore every allocation round)
 //! records its wall time and outcome here with relaxed atomics.
 //! `tab_overhead` prints a snapshot after its table so real solver cost
-//! shows up next to the modeled `solve_cost_ns` overhead — *outside* the
+//! shows up next to the modeled `SOLVE_COST_NS` overhead — *outside* the
 //! rendered table, which is byte-compared across worker counts and must
 //! stay wall-clock free — and the `benchmark/` package reads the same
 //! counters for its `sched.*` layer.

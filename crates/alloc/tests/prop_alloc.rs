@@ -4,10 +4,12 @@
 //! selected point's resource structure.
 
 use harp_alloc::{
-    allocate, reference, select, AllocOption, AllocRequest, SolveOutcome, SolverKind, WarmStart,
+    allocate, select, AllocOption, AllocRequest, SolveOutcome, SolverKind, WarmStart,
 };
 use harp_types::{AppId, CoreKind, ErvShape, ExtResourceVector, OpId, ResourceVector};
 use proptest::prelude::*;
+
+mod reference;
 
 /// One request per row of `(d0, d1, d2, cost)` option tuples, demands laid
 /// flat over `shape`.

@@ -2,7 +2,7 @@
 //! baseline.
 //!
 //! This module is the solver exactly as it shipped before the incremental
-//! engine in [`crate::solvers`] existed: it walks `AllocRequest` option
+//! engine in `harp_alloc`'s `solvers.rs` existed: it walks `AllocRequest` option
 //! lists directly, recomputes total demand from scratch (allocating a
 //! `ResourceVector` per evaluation), and runs a fixed 60-iteration
 //! subgradient schedule with no state carried between solves.
@@ -11,15 +11,15 @@
 //! `tests/prop_alloc.rs` assert that the engine's cold-start output is
 //! cost-equal to this solver on every seeded instance, and that
 //! dominance pruning never changes the exact optimum. Its fixed schedule
-//! is also the unit of [`crate::Selection::work`].
+//! is also the unit of [`harp_alloc::Selection::work`]. It lives under
+//! `tests/` so no library build carries it.
 //!
 //! Do not "optimize" this module — its value is being the fixed reference.
 
-use crate::instance::cost_or_large;
-use crate::AllocRequest;
+use harp_alloc::{cost_or_large, AllocRequest};
 use harp_types::{HarpError, ResourceVector, Result};
 
-pub use crate::solvers::SolverKind;
+pub use harp_alloc::SolverKind;
 
 /// Solves the selection problem with the pre-engine reference
 /// implementation: returns the chosen option index per request. Callers

@@ -53,9 +53,9 @@ impl Job {
     }
 }
 
-/// Enumerates the repetition jobs of one cell exactly as
-/// [`crate::runner::run_repeated`] would execute them: repetition `r` uses
-/// seed `opts.seed + r * 7919` (wrapping).
+/// Enumerates the repetition jobs of one cell (the paper averages ten
+/// repetitions): repetition `r` uses seed `opts.seed + r * 7919`
+/// (wrapping).
 pub fn repetition_jobs(
     figure: &'static str,
     platform: Platform,
@@ -78,8 +78,8 @@ pub fn repetition_jobs(
 }
 
 /// Averages the metrics of one repetition group in repetition order —
-/// the same left-to-right summation as [`crate::runner::run_repeated`],
-/// so the folded result is bit-identical to the serial path.
+/// always the same left-to-right summation, so the folded result carries
+/// the same bits whichever workers produced the group.
 pub fn fold_repetitions(metrics: &[RunMetrics]) -> RunMetrics {
     let mut time = 0.0;
     let mut energy = 0.0;
@@ -194,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn repetition_jobs_mirror_run_repeated_seeds() {
+    fn repetition_jobs_step_the_seed_by_7919() {
         let sc = Scenario::of(Platform::RaptorLake, &["ep"]);
         let opts = RunOptions {
             seed: 42,

@@ -164,35 +164,6 @@ pub fn run_scenario(
     Ok(RunMetrics::from_report(&report))
 }
 
-/// Runs a scenario `reps` times with distinct seeds and averages the
-/// metrics (the paper averages ten repetitions).
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run_repeated(
-    platform: Platform,
-    scenario: &Scenario,
-    kind: ManagerKind,
-    opts: &RunOptions,
-    reps: u32,
-) -> Result<RunMetrics> {
-    let mut time = 0.0;
-    let mut energy = 0.0;
-    for rep in 0..reps.max(1) {
-        let mut o = opts.clone();
-        o.seed = opts.seed.wrapping_add(rep as u64 * 7919);
-        let m = run_scenario(platform, scenario, kind, &o)?;
-        time += m.makespan_s;
-        energy += m.energy_j;
-    }
-    let n = reps.max(1) as f64;
-    Ok(RunMetrics {
-        makespan_s: time / n,
-        energy_j: energy / n,
-    })
-}
-
 /// Learns operating points for a scenario by running it online with
 /// restarts for `warmup` simulated time, then returns the learned profiles
 /// — how the Fig. 6 "HARP" bars obtain their *stable* operating points
@@ -278,20 +249,6 @@ mod tests {
         let imp = improvement(base, var);
         assert_eq!(imp.time, 2.0);
         assert_eq!(imp.energy, 0.5);
-    }
-
-    #[test]
-    fn repeated_runs_average() {
-        let sc = Scenario::of(Platform::RaptorLake, &["primes"]);
-        let m = run_repeated(
-            Platform::RaptorLake,
-            &sc,
-            ManagerKind::Cfs,
-            &RunOptions::default(),
-            3,
-        )
-        .unwrap();
-        assert!(m.makespan_s > 0.0);
     }
 
     #[test]

@@ -659,17 +659,22 @@ impl ShardState {
                     );
                     return false;
                 };
-                let mut points = Vec::new();
-                for p in &sp.points {
-                    if let Ok(erv) = ExtResourceVector::from_flat(&self.shared.shape, &p.erv_flat) {
-                        points.push((erv, NonFunctional::new(p.utility, p.power)));
-                    }
-                }
+                // All or nothing, like the RM's own batch validation: one
+                // vector that does not fit the machine shape rejects the
+                // batch before the RM sees any of it.
+                let points: harp_types::Result<Vec<_>> = sp
+                    .points
+                    .iter()
+                    .map(|p| {
+                        let erv = ExtResourceVector::from_flat(&self.shared.shape, &p.erv_flat)?;
+                        Ok((erv, NonFunctional::new(p.utility, p.power)))
+                    })
+                    .collect();
                 let core = self.shared.core();
-                let result = {
+                let result = points.and_then(|points| {
                     let _op = OpGuard::begin(&self.shared);
                     lock(&core).submit_points(id, points)
-                };
+                });
                 match result {
                     Ok(out) => self.shared.route(&out),
                     Err(e) => self.send_error(slot, ERR_SUBMIT_REJECTED, e.to_string()),

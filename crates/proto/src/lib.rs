@@ -2,8 +2,9 @@
 //!
 //! The paper (§4.1.1) specifies "protobuf messages over Unix sockets". This
 //! crate implements the message set with a hand-rolled, protobuf-compatible
-//! wire format (varints, zig-zag, little-endian fixed64, length-delimited
-//! fields) so that no code generation is needed:
+//! wire format (varints, little-endian fixed64, length-delimited fields —
+//! the three encodings the 14 messages use) so that no code generation is
+//! needed:
 //!
 //! * [`wire`] — low-level encoding primitives over [`bytes`] buffers.
 //! * [`Message`] — the protocol message set: registration, operating-point
@@ -40,7 +41,6 @@
 
 pub mod buf;
 pub mod frame;
-pub mod legacy;
 mod messages;
 pub mod wire;
 

@@ -432,8 +432,8 @@ impl Message {
     /// from `bytes` while parsing — no intermediate copies are made. Only
     /// the owned fields of the resulting [`Message`] (strings, vectors)
     /// allocate; messages without such fields decode allocation-free.
-    /// The pre-reactor allocating decoder is frozen in [`crate::legacy`]
-    /// as a differential oracle.
+    /// The pre-reactor allocating decoder is frozen in `tests/legacy/` as
+    /// the differential oracle of `tests/corpus_decode.rs`.
     ///
     /// # Errors
     ///

@@ -74,16 +74,6 @@ pub fn get_varint(buf: &mut impl Buf) -> Result<u64> {
     Err(HarpError::protocol("varint longer than 10 bytes"))
 }
 
-/// Zig-zag encodes a signed integer (protobuf `sint64`).
-pub fn zigzag_encode(value: i64) -> u64 {
-    ((value << 1) ^ (value >> 63)) as u64
-}
-
-/// Zig-zag decodes a signed integer.
-pub fn zigzag_decode(value: u64) -> i64 {
-    ((value >> 1) as i64) ^ -((value & 1) as i64)
-}
-
 /// Writes a field key.
 pub fn put_key(buf: &mut impl BufMut, field: u32, wire: WireType) {
     put_varint(buf, (u64::from(field) << 3) | wire.raw());
@@ -146,51 +136,8 @@ pub fn get_f64(buf: &mut impl Buf) -> Result<f64> {
     Ok(f64::from_bits(buf.get_u64_le()))
 }
 
-/// Reads a length-delimited payload as an owned byte vector.
-///
-/// # Errors
-///
-/// Returns [`HarpError::Protocol`] on truncated input.
-pub fn get_bytes(buf: &mut impl Buf) -> Result<Vec<u8>> {
-    let len = get_varint(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(HarpError::protocol("truncated length-delimited field"));
-    }
-    Ok(buf.copy_to_bytes(len).to_vec())
-}
-
-/// Reads a length-delimited UTF-8 string.
-///
-/// # Errors
-///
-/// Returns [`HarpError::Protocol`] on truncated or non-UTF-8 input.
-pub fn get_string(buf: &mut impl Buf) -> Result<String> {
-    let bytes = get_bytes(buf)?;
-    String::from_utf8(bytes).map_err(|_| HarpError::protocol("invalid utf-8 in string field"))
-}
-
-/// Reads a packed `u32` sequence from a length-delimited payload.
-///
-/// # Errors
-///
-/// Returns [`HarpError::Protocol`] on truncated input or a component that
-/// does not fit into `u32`.
-pub fn get_packed_u32(buf: &mut impl Buf) -> Result<Vec<u32>> {
-    let bytes = get_bytes(buf)?;
-    let mut inner = bytes.as_slice();
-    let mut out = Vec::new();
-    while !inner.is_empty() {
-        let v = get_varint(&mut inner)?;
-        out.push(
-            u32::try_from(v).map_err(|_| HarpError::protocol("packed u32 component too large"))?,
-        );
-    }
-    Ok(out)
-}
-
-/// Borrows a length-delimited payload straight out of the input slice —
-/// the zero-copy counterpart of [`get_bytes`]. The returned slice aliases
-/// the input; nothing is allocated.
+/// Borrows a length-delimited payload straight out of the input slice.
+/// The returned slice aliases the input; nothing is allocated.
 ///
 /// # Errors
 ///
@@ -205,8 +152,7 @@ pub fn take_bytes<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
     Ok(head)
 }
 
-/// Borrows a length-delimited UTF-8 string out of the input slice —
-/// the zero-copy counterpart of [`get_string`].
+/// Borrows a length-delimited UTF-8 string out of the input slice.
 ///
 /// # Errors
 ///
@@ -216,9 +162,8 @@ pub fn take_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
         .map_err(|_| HarpError::protocol("invalid utf-8 in string field"))
 }
 
-/// Reads a packed `u32` sequence directly from the input slice — the
-/// counterpart of [`get_packed_u32`] without the intermediate byte copy
-/// (only the resulting `Vec<u32>` is allocated).
+/// Reads a packed `u32` sequence directly from the input slice (only the
+/// resulting `Vec<u32>` is allocated).
 ///
 /// # Errors
 ///
@@ -303,16 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn zigzag_round_trip() {
-        for v in [0i64, -1, 1, -2, i64::MIN, i64::MAX, 123456, -987654] {
-            assert_eq!(zigzag_decode(zigzag_encode(v)), v);
-        }
-        // Canonical values.
-        assert_eq!(zigzag_encode(-1), 1);
-        assert_eq!(zigzag_encode(1), 2);
-    }
-
-    #[test]
     fn key_round_trip() {
         let mut buf = Vec::new();
         put_key(&mut buf, 15, WireType::LengthDelimited);
@@ -349,7 +284,7 @@ mod tests {
         put_packed_u32_field(&mut buf, 4, &values);
         let mut slice = buf.as_slice();
         get_key(&mut slice).unwrap();
-        assert_eq!(get_packed_u32(&mut slice).unwrap(), values);
+        assert_eq!(take_packed_u32(&mut slice).unwrap(), values);
     }
 
     #[test]
@@ -358,16 +293,7 @@ mod tests {
         put_str_field(&mut buf, 3, "héllo wörld");
         let mut slice = buf.as_slice();
         get_key(&mut slice).unwrap();
-        assert_eq!(get_string(&mut slice).unwrap(), "héllo wörld");
-    }
-
-    #[test]
-    fn invalid_utf8_is_error() {
-        let mut buf = Vec::new();
-        put_bytes_field(&mut buf, 3, &[0xff, 0xfe]);
-        let mut slice = buf.as_slice();
-        get_key(&mut slice).unwrap();
-        assert!(get_string(&mut slice).is_err());
+        assert_eq!(take_str(&mut slice).unwrap(), "héllo wörld");
     }
 
     #[test]
@@ -403,28 +329,6 @@ mod tests {
         let got = borrowed.as_ptr() as usize;
         assert!((base..base + buf.len()).contains(&got));
         assert!(slice.is_empty());
-    }
-
-    #[test]
-    fn take_helpers_match_allocating_helpers() {
-        let mut buf = Vec::new();
-        put_str_field(&mut buf, 1, "zéro-copy");
-        put_packed_u32_field(&mut buf, 2, &[0, 1, 127, 128, u32::MAX]);
-
-        let mut a = buf.as_slice();
-        get_key(&mut a).unwrap();
-        let s_owned = get_string(&mut a).unwrap();
-        get_key(&mut a).unwrap();
-        let p_owned = get_packed_u32(&mut a).unwrap();
-
-        let mut b = buf.as_slice();
-        get_key(&mut b).unwrap();
-        let s_borrowed = take_str(&mut b).unwrap();
-        get_key(&mut b).unwrap();
-        let p_borrowed = take_packed_u32(&mut b).unwrap();
-
-        assert_eq!(s_owned, s_borrowed);
-        assert_eq!(p_owned, p_borrowed);
     }
 
     #[test]

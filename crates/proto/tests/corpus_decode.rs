@@ -7,12 +7,14 @@
 //! offending bytes into the directory; this test picks it up by name.
 
 use harp_proto::frame::{read_frame, write_frame, FrameDecoder, MAX_FRAME_LEN};
-use harp_proto::{legacy, AdaptivityType, Message, Register, SubmitPoints, WirePoint};
+use harp_proto::{AdaptivityType, Message, Register, SubmitPoints, WirePoint};
 use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::io::Cursor;
 use std::path::PathBuf;
+
+mod legacy;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")

@@ -7,16 +7,19 @@
 //! the allocating [`wire`] helpers — as a differential oracle: the
 //! corpus and property tests in `tests/corpus_decode.rs` assert both
 //! decoders accept/reject byte-identically and produce equal messages.
+//! It lives under `tests/` so no library build carries it.
 //!
 //! Do not "improve" this code; its value is that it does not change.
 
-use crate::wire::{self, WireType};
-use crate::{
+mod wire;
+
+use harp_proto::{
     Activate, AdaptivityType, DumpTelemetry, ErrorMsg, Hello, Message, Register, RegisterAck,
     Resume, SessionEnergy, SubmitPoints, SubscribeTelemetry, TelemetryDump, TelemetryFrame,
     UtilityReport, UtilityRequest, WirePoint,
 };
 use harp_types::{HarpError, Result};
+use wire::WireType;
 
 fn adaptivity_from_raw(raw: u64) -> Result<AdaptivityType> {
     match raw {

@@ -19,22 +19,18 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// RM configuration.
-#[derive(Debug, Clone)]
+/// RM configuration. Allocation rounds always run the Lagrangian MMKP
+/// solver ([`SolverKind::Lagrangian`]); the modelled communication and
+/// solve costs of the §6.6 overhead study are the simulator frontend's
+/// constants (`harp-sched`), not RM state.
+#[derive(Debug, Clone, Default)]
 pub struct RmConfig {
-    /// MMKP solver used for allocation rounds.
-    pub solver: SolverKind,
     /// Online-exploration parameters.
     pub exploration: ExplorationConfig,
     /// Offline mode: applications run on their preloaded profiles and no
     /// runtime exploration happens (the *HARP (Offline)* variant, and the
     /// only mode on the Odroid, §6.4).
     pub offline: bool,
-    /// Modelled CPU cost of one RM↔libharp message round trip, charged by
-    /// the frontend to the application (overhead study, §6.6).
-    pub message_cost_ns: u64,
-    /// Modelled CPU cost of one allocation solve.
-    pub solve_cost_ns: u64,
     /// Cooperative solver budget per allocation round in subgradient
     /// iterations (`0` = unbounded). Deterministic, so journal replay takes
     /// the same degraded/non-degraded path as the live run — the production
@@ -42,19 +38,6 @@ pub struct RmConfig {
     /// previous feasible allocation, marks the tick degraded
     /// (`rm.degraded_ticks`) and re-solves next tick.
     pub solve_deadline_iters: u32,
-}
-
-impl Default for RmConfig {
-    fn default() -> Self {
-        RmConfig {
-            solver: SolverKind::Lagrangian,
-            exploration: ExplorationConfig::default(),
-            offline: false,
-            message_cost_ns: 300_000,
-            solve_cost_ns: 2_000_000,
-            solve_deadline_iters: 0,
-        }
-    }
 }
 
 /// An operating-point activation the frontend must relay to an application
@@ -84,8 +67,8 @@ pub struct RmOutput {
     /// Summed solver effort of those solves, as a fraction of the
     /// reference solver's full iteration schedule (see
     /// [`harp_alloc::Selection::work`]). Warm-started rounds report far
-    /// less than `solves × 1.0`; the overhead model charges
-    /// `solve_cost_ns × solve_work`.
+    /// less than `solves × 1.0`; the simulator frontend's overhead model
+    /// charges its per-solve cost × `solve_work`.
     pub solve_work: f64,
     /// The solver overran its deadline this round: the previous feasible
     /// allocation stays applied (new arrivals fall back to whole-machine
@@ -1204,7 +1187,7 @@ impl RmCore {
             solver_view,
             &self.hw,
             degraded_hw.then_some(&avail),
-            self.cfg.solver,
+            SolverKind::Lagrangian,
             &mut self.warm,
             deadline,
         );
@@ -2395,15 +2378,33 @@ mod tests {
             ],
         )
         .unwrap();
+        // A second app learns its points and leaves: its table becomes a
+        // stored profile, the only place those points live from here on.
+        live.register(AppId(2), "leaver", false).unwrap();
+        live.submit_points(
+            AppId(2),
+            vec![
+                (
+                    ExtResourceVector::from_flat(&shape, &[0, 2, 0]).unwrap(),
+                    NonFunctional::new(6.0, 20.0),
+                ),
+                (
+                    ExtResourceVector::from_flat(&shape, &[0, 0, 4]).unwrap(),
+                    NonFunctional::new(5.0, 6.0),
+                ),
+            ],
+        )
+        .unwrap();
+        live.deregister(AppId(2)).unwrap();
         live.compact_now();
 
         let outcome = crate::journal::read_journal(&path).unwrap();
         assert!(!outcome.truncated);
-        assert!(outcome
-            .records
-            .iter()
-            .any(|r| matches!(r, JournalRecord::Snapshot(_))));
-        let recovered = RmCore::recover(presets::raptor_lake(), cfg, &outcome.records).unwrap();
+        assert!(
+            matches!(outcome.records.as_slice(), [JournalRecord::Snapshot(_)]),
+            "compaction leaves one snapshot and no record to replay"
+        );
+        let mut recovered = RmCore::recover(presets::raptor_lake(), cfg, &outcome.records).unwrap();
         assert_eq!(recovered.managed_apps(), vec![AppId(1)]);
         assert_eq!(recovered.resolve_resume_token(77), Some(AppId(1)));
         assert_eq!(
@@ -2416,6 +2417,23 @@ mod tests {
         assert_eq!(
             recovered.last_directive(AppId(1)),
             live.last_directive(AppId(1))
+        );
+        // The departed app's profile came through the snapshot with every
+        // measured point, and a re-registration under its name starts
+        // from them.
+        let measured = |t: &OperatingPointTable| -> Vec<harp_types::OperatingPoint> {
+            t.iter_measured().map(|(_, p)| p.clone()).collect()
+        };
+        let learned = measured(live.profile("leaver").expect("deregister stores the table"));
+        assert_eq!(learned.len(), 2);
+        assert_eq!(
+            recovered.profile("leaver").map(measured),
+            Some(learned.clone())
+        );
+        recovered.register(AppId(3), "leaver", false).unwrap();
+        assert_eq!(
+            recovered.session_table(AppId(3)).map(measured),
+            Some(learned)
         );
         std::fs::remove_file(&path).unwrap();
     }

@@ -42,12 +42,10 @@
 
 mod core;
 pub mod journal;
-mod store;
 
 pub use crate::core::{
     table_from_points, AppObservation, Directive, RmConfig, RmCore, RmOutput, TickObservations,
 };
 pub use crate::journal::{JournalRecord, JournalWriter, ReadOutcome};
-pub use crate::store::ProfileStore;
 pub use harp_energy::{EnergyLedger, LedgerEntry, LedgerTick};
 pub use harp_explore::Stage;

@@ -18,10 +18,16 @@ use std::collections::HashMap;
 
 const TIMER_ID: u64 = 0x4A52;
 
+/// Modelled CPU cost of one RM↔libharp message round trip, charged to the
+/// application (overhead study, §6.6).
+const MESSAGE_COST_NS: u64 = 300_000;
+/// Modelled CPU cost of one full allocation solve (`solve_work == 1.0`).
+const SOLVE_COST_NS: u64 = 2_000_000;
+
 /// Configuration of the simulator frontend.
 #[derive(Debug, Clone)]
 pub struct HarpManagerConfig {
-    /// RM configuration (solver, exploration, offline mode, costs).
+    /// RM configuration (exploration, offline mode, solve budget).
     pub rm: RmConfig,
     /// Apply team-size adaptations (`false` = *HARP (No Scaling)*, §6.3).
     pub scaling: bool,
@@ -122,19 +128,17 @@ impl HarpSimManager {
             );
             self.last_energy = Some(tick);
         }
-        let message_cost = self.cfg.rm.message_cost_ns;
-        let solve_cost = self.cfg.rm.solve_cost_ns;
         let napps = out.directives.len().max(1) as u64;
         // `solve_work` scales the modeled solve cost by the actual solver
         // effort (fraction of the reference iteration schedule) — warm
         // rounds answered from the memo or a duality-gap certificate charge
         // a fraction of a full solve. Iteration counts are deterministic,
         // so this keeps runs bit-reproducible (unlike wall time).
-        let solve_charge = (solve_cost as f64 * out.solve_work) as u64 / napps;
+        let solve_charge = (SOLVE_COST_NS as f64 * out.solve_work) as u64 / napps;
         for d in &out.directives {
             // Communication + (spread) solve cost land on the application's
             // critical path, managed or not.
-            st.charge_overhead(d.app, message_cost + solve_charge);
+            st.charge_overhead(d.app, MESSAGE_COST_NS + solve_charge);
             if !self.cfg.actuation {
                 continue;
             }
@@ -184,7 +188,7 @@ impl HarpSimManager {
                 })
                 .unwrap_or(0.0);
             // Sampling perf counters costs a message round trip.
-            st.charge_overhead(app, self.cfg.rm.message_cost_ns / 2);
+            st.charge_overhead(app, MESSAGE_COST_NS / 2);
             apps.push(AppObservation {
                 app,
                 utility_rate,

@@ -21,8 +21,8 @@
 //! `ep.C` ≈ 2.4 s under CFS, §6.5.1).
 //!
 //! [`scenarios`] assembles the single- and multi-application scenarios of
-//! Figs. 6–8, and [`generator`] produces randomized scenarios for property
-//! tests.
+//! Figs. 6–8; [`trace`] and [`tracegen`] are the canonical workload-trace
+//! format and its seeded generator.
 //!
 //! # Example
 //!
@@ -38,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod generator;
 pub mod kpn;
 pub mod npb;
 pub mod scenarios;

@@ -1,49 +1,12 @@
-//! Property tests for the workload generators.
-//!
-//! Two families: (1) fuzzing `random_spec`/`random_scenario` over
-//! degenerate platform shapes (zero kinds, zero apps, single-thread
-//! machines) — every output must validate, never panic; (2) the trace
-//! generator's determinism contract — the same seed yields a byte-identical
-//! canonical trace on every repetition.
+//! Property tests for the trace generator: the same seed yields a
+//! byte-identical canonical trace on every repetition, and every generated
+//! trace survives the text round trip.
 
-use harp_workload::generator::{random_scenario, random_spec};
-use harp_workload::{generate_trace, Platform, Trace, TraceGenConfig, TraceShape};
+use harp_workload::{generate_trace, Trace, TraceGenConfig, TraceShape};
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    // Degenerate-input fuzz: 0 kinds must fall back to a single-kind spec,
-    // and any spec that comes out must validate.
-    #[test]
-    fn random_spec_survives_degenerate_platforms(
-        seed in any::<u64>(),
-        num_kinds in 0usize..5
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let s = random_spec(&mut rng, "fuzz", num_kinds);
-        s.validate().unwrap();
-        prop_assert_eq!(s.kind_efficiency.len(), num_kinds.max(1));
-        prop_assert!(s.total_work() > 0.0);
-    }
-
-    #[test]
-    fn random_scenario_survives_degenerate_sizes(
-        seed in any::<u64>(),
-        n_apps in 0usize..8
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        for platform in [Platform::RaptorLake, Platform::Odroid] {
-            let sc = random_scenario(&mut rng, platform, n_apps);
-            prop_assert_eq!(sc.len(), n_apps);
-            prop_assert!(!sc.name.is_empty(), "even an empty mix is named");
-            for a in &sc.apps {
-                a.validate().unwrap();
-            }
-        }
-    }
 
     // Seed determinism: repeated generation is byte-identical, different
     // seeds (virtually always) differ.
