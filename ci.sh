@@ -64,8 +64,11 @@ echo "==> cargo test -q --workspace (every crate's unit, integration and doc tes
 # multi-shard connection storm (section 12), the committed headline and
 # fault-laced trace corpora with their .expect fingerprints (sections 13
 # and 15; regenerate deliberately with HARP_TRACE_BLESS=1), energy-ledger
-# conservation under a live telemetry stream (section 14), and the solver's
-# engine-vs-reference and warm-vs-cold counted-work properties (section 7).
+# conservation under a live telemetry stream (section 14), the solver's
+# engine-vs-reference and warm-vs-cold counted-work properties (section 7),
+# the simulator's counted event cost (section 4), and every harness
+# binary's --reduced stdout against crates/bench/golden/ with a cold
+# profile cache (section 6; same HARP_TRACE_BLESS=1 to regenerate).
 cargo test -q --workspace
 
 echo "==> benchmark harness gate (wire == mirror directives, untraced and traced)"

@@ -164,11 +164,10 @@ pub fn select_deadline(
     warm: Option<&mut WarmStart>,
     deadline: SolveDeadline,
 ) -> Result<Selection> {
-    let t0 = std::time::Instant::now();
     let mut sp = harp_obs::span(harp_obs::Subsystem::Solver, "solve").field("apps", requests.len());
     let res = select_inner(requests, capacity, kind, warm, deadline);
     if let Ok(sel) = &res {
-        crate::stats::record(t0.elapsed().as_nanos() as u64, sel.outcome);
+        crate::stats::record(sel.work, sel.outcome);
         if sp.is_active() {
             sp.set_field("outcome", sel.outcome.name());
             sp.set_field("work", sel.work);

@@ -604,7 +604,7 @@ mod tests {
                         .cloned()
                         .unwrap_or_else(|| vec![0.0; cpu.len()]);
                     let d: Vec<f64> = cpu.iter().zip(&prev).map(|(a, b)| a - b).collect();
-                    self.last_cpu.insert(app, cpu);
+                    self.last_cpu.insert(app, cpu.to_vec());
                     deltas.push((app, d));
                 }
                 self.att.update(dt, de, &deltas);

@@ -552,7 +552,8 @@ impl<T: Transport> HarpSession<T> {
                         self.attempt
                     )));
                 }
-                self.next_retry_at = Some(Instant::now() + self.backoff());
+                let wait = self.policy.backoff(self.attempt, &mut self.rng);
+                self.next_retry_at = Some(Instant::now() + wait);
                 Ok(())
             }
             Err(e) => {
@@ -596,10 +597,6 @@ impl<T: Transport> HarpSession<T> {
             self.handle_message(msg, &mut || 0.0)?;
         }
         Ok(())
-    }
-
-    fn backoff(&mut self) -> Duration {
-        self.policy.backoff(self.attempt, &mut self.rng)
     }
 
     fn handle_message(&mut self, msg: Message, utility: &mut impl FnMut() -> f64) -> Result<()> {
@@ -1156,28 +1153,13 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_respects_the_cap() {
-        let (app_side, _rm) = duplex();
-        // Build a session directly to probe the backoff schedule.
-        let t = std::thread::spawn(move || {
-            let rm = _rm;
-            let _reg = rm.recv().unwrap();
-            rm.send(&Message::RegisterAck(RegisterAck::new(1))).unwrap();
-            rm
-        });
-        let mut session = HarpSession::connect(
-            app_side,
-            SessionConfig::new("probe", AdaptivityType::Scalable),
-        )
-        .unwrap();
-        let _rm = t.join().unwrap();
-        session.policy =
+        let policy =
             ReconnectPolicy::new(Duration::from_millis(10), Duration::from_millis(100), 32)
                 .with_seed(42);
-        session.rng = 42;
+        let mut rng = policy.seed;
         let mut prev_cap = Duration::ZERO;
         for attempt in 1..=10u32 {
-            session.attempt = attempt;
-            let d = session.backoff();
+            let d = policy.backoff(attempt, &mut rng);
             let exp = Duration::from_millis(10)
                 .saturating_mul(1 << (attempt - 1).min(20))
                 .min(Duration::from_millis(100));

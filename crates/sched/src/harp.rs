@@ -165,10 +165,11 @@ impl HarpSimManager {
             return;
         }
         let mut sp = harp_obs::span(harp_obs::Subsystem::Sched, "tick");
-        let mut apps = Vec::new();
-        // Copy the cached id view: sampling and overhead charging mutate
-        // the state.
-        for app in st.app_ids().to_vec() {
+        let mut apps = Vec::with_capacity(st.app_ids().len());
+        // Sampling and overhead charging mutate the state but not the
+        // cached id view, so walk it by index instead of copying it.
+        for i in 0..st.app_ids().len() {
+            let app = st.app_ids()[i];
             if !self.provides_utility.contains_key(&app) {
                 continue; // not registered (arrived between timer and tick)
             }
@@ -192,7 +193,7 @@ impl HarpSimManager {
             apps.push(AppObservation {
                 app,
                 utility_rate,
-                cpu_time: st.app_cpu_time(app),
+                cpu_time: st.app_cpu_time(app).to_vec(),
             });
         }
         let obs = TickObservations {

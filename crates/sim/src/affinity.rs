@@ -56,6 +56,12 @@ impl Affinity {
         Affinity(mask)
     }
 
+    /// The raw mask (bit `i` = hardware thread `i`), which the placement
+    /// loop intersects with its hardware-thread buckets.
+    pub(crate) fn bits(&self) -> u128 {
+        self.0
+    }
+
     /// Whether hardware thread `t` is allowed.
     pub fn allows(&self, t: HwThreadId) -> bool {
         t.0 < Self::MAX_THREADS && self.0 & (1u128 << t.0) != 0

@@ -8,6 +8,9 @@ use harp_types::AppId;
 #[derive(Debug, Clone)]
 pub(crate) struct ThreadState {
     pub app: AppId,
+    /// Dense instance slot of `app`; meaningful while the instance lives
+    /// (slots are reused, finished instances' threads are never visited).
+    pub slot: usize,
     /// Per-thread affinity override (set by per-thread managers like the
     /// ITD allocator); `None` means the thread inherits the app mask.
     pub affinity_override: Option<Affinity>,
@@ -16,6 +19,10 @@ pub(crate) struct ThreadState {
     pub chunk: Option<f64>,
     /// Hardware thread this thread is currently assigned to.
     pub assigned_hwt: Option<usize>,
+    /// Progress rate (work units/s) as of the last placement.
+    pub rate: f64,
+    /// Counter rate (inflated work units/s) as of the last placement.
+    pub counter_rate: f64,
 }
 
 impl ThreadState {
@@ -24,7 +31,15 @@ impl ThreadState {
     }
 }
 
-/// Progress state of one application instance.
+/// Baseline of the last perf/utility sample of one instance.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SampleState {
+    pub last_time: SimTime,
+    pub last_counted: f64,
+    pub last_done: f64,
+}
+
+/// Progress state and accounts of one application instance.
 #[derive(Debug, Clone)]
 pub(crate) struct AppInstance {
     pub id: AppId,
@@ -51,8 +66,19 @@ pub(crate) struct AppInstance {
     /// RM-induced overhead waiting to be charged to the master thread
     /// (work units).
     pub pending_overhead: f64,
-    /// True while the instance still has phases to run.
-    pub alive: bool,
+    /// Ground-truth dynamic energy attributed so far (joules) — used only
+    /// to validate the attribution algorithm of `harp-energy` (paper §5.1).
+    pub energy_j: f64,
+    /// CPU seconds consumed per core kind (the scheduler statistics
+    /// EnergAt-style attribution reads).
+    pub cpu_time: Vec<f64>,
+    pub sample: SampleState,
+    /// Synchronization-contention factor of the current active team; also
+    /// each placed thread's busy fraction for the power model.
+    pub contention: f64,
+    /// Heterogeneous-barrier-imbalance factor (1.0 when the team sits on
+    /// one core kind or balances dynamically).
+    pub span_factor: f64,
 }
 
 impl AppInstance {
@@ -93,7 +119,11 @@ mod tests {
             done_work: 0.0,
             counted_work: 0.0,
             pending_overhead: 0.0,
-            alive: true,
+            energy_j: 0.0,
+            cpu_time: vec![0.0; 2],
+            sample: SampleState::default(),
+            contention: 1.0,
+            span_factor: 1.0,
         }
     }
 

@@ -1,8 +1,6 @@
 //! Precomputed machine topology and energy accounting.
 
 use harp_platform::HardwareDescription;
-use harp_types::AppId;
-use std::collections::HashMap;
 
 /// Precomputed topology lookup tables over a [`HardwareDescription`].
 #[derive(Debug, Clone)]
@@ -18,6 +16,8 @@ pub(crate) struct Topology {
     pub cluster_thread_count: Vec<usize>,
     pub n_threads: usize,
     pub n_cores: usize,
+    /// Widest core (hardware threads per core) of the machine.
+    pub max_smt_width: usize,
 }
 
 impl Topology {
@@ -44,6 +44,13 @@ impl Topology {
                 core_idx += 1;
             }
         }
+        let max_smt_width = hw
+            .clusters
+            .iter()
+            .map(|c| c.smt_width)
+            .max()
+            .unwrap_or(1)
+            .max(1);
         Topology {
             hw,
             core_kind,
@@ -52,6 +59,7 @@ impl Topology {
             cluster_thread_count,
             n_threads,
             n_cores,
+            max_smt_width,
         }
     }
 
@@ -61,19 +69,20 @@ impl Topology {
     }
 }
 
-/// Cumulative energy counters (joules) and CPU-time accounting (seconds).
-///
-/// `cluster_energy`/`package_energy` model the observable RAPL-style
-/// counters; `app_energy` is the *ground-truth* per-application dynamic
-/// energy used to validate the attribution algorithm of `harp-energy`
-/// (paper §5.1); `app_cpu_time` is the per-kind CPU time the attribution
-/// algorithm consumes (the scheduler statistics EnergAt reads).
+/// Cumulative energy counters (joules) modelling the observable
+/// RAPL-style domains, and the draw they integrate. Power changes only
+/// when placement does, so the engine computes it once per placement and
+/// every event in between is a multiply-add per domain. Per-application
+/// accounts (ground-truth energy, CPU time per kind) live in the instance
+/// slots (`AppInstance`).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EnergyAccount {
     pub cluster_energy: Vec<f64>,
     pub package_energy: f64,
-    pub app_energy: HashMap<AppId, f64>,
-    pub app_cpu_time: HashMap<AppId, Vec<f64>>,
+    /// Current draw per cluster in watts (cores + cluster static).
+    pub cluster_w: Vec<f64>,
+    /// Current package draw in watts (package static + every cluster).
+    pub package_w: f64,
 }
 
 impl EnergyAccount {
@@ -81,22 +90,33 @@ impl EnergyAccount {
         EnergyAccount {
             cluster_energy: vec![0.0; num_kinds],
             package_energy: 0.0,
-            app_energy: HashMap::new(),
-            app_cpu_time: HashMap::new(),
+            cluster_w: vec![0.0; num_kinds],
+            package_w: 0.0,
         }
     }
 
-    pub fn add_app_energy(&mut self, app: AppId, joules: f64) {
-        *self.app_energy.entry(app).or_insert(0.0) += joules;
+    /// Integrates the current draw over `dt` seconds.
+    pub fn integrate(&mut self, dt: f64) {
+        for (e, w) in self.cluster_energy.iter_mut().zip(&self.cluster_w) {
+            *e += w * dt;
+        }
+        self.package_energy += self.package_w * dt;
     }
+}
 
-    pub fn add_app_cpu_time(&mut self, app: AppId, kind: usize, num_kinds: usize, seconds: f64) {
-        let v = self
-            .app_cpu_time
-            .entry(app)
-            .or_insert_with(|| vec![0.0; num_kinds]);
-        v[kind] += seconds;
-    }
+/// One placed runnable thread's share of its core, in placement order
+/// (core, hardware thread, queue position) — the order per-application
+/// energy and CPU time are accumulated in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Placed {
+    /// Instance slot of the thread's application.
+    pub slot: usize,
+    /// Core kind the thread runs on.
+    pub kind: usize,
+    /// Active core power attributed to the thread (watts).
+    pub power_w: f64,
+    /// Threads time-sharing the hardware thread.
+    pub sharers: f64,
 }
 
 #[cfg(test)]
@@ -119,17 +139,5 @@ mod tests {
         assert_eq!(t.cluster_thread_count, vec![16, 16]);
         assert_eq!(t.kind_of_hwt(0), 0);
         assert_eq!(t.kind_of_hwt(31), 1);
-    }
-
-    #[test]
-    fn energy_account_accumulates() {
-        let mut e = EnergyAccount::new(2);
-        let app = AppId(1);
-        e.add_app_energy(app, 2.5);
-        e.add_app_energy(app, 1.5);
-        assert_eq!(e.app_energy[&app], 4.0);
-        e.add_app_cpu_time(app, 1, 2, 0.25);
-        e.add_app_cpu_time(app, 0, 2, 0.5);
-        assert_eq!(e.app_cpu_time[&app], vec![0.5, 0.25]);
     }
 }

@@ -1,12 +1,12 @@
 //! The event-driven simulation engine.
 
-use crate::app::{AppInstance, ThreadState};
-use crate::machine::{EnergyAccount, Topology};
+use crate::app::{AppInstance, SampleState, ThreadState};
+use crate::machine::{EnergyAccount, Placed, Topology};
 use crate::report::{AppReport, RunReport};
 use crate::spec::AppSpec;
 use crate::{Affinity, SimThreadId, SimTime};
 use harp_platform::{FaultState, Governor, HardwareDescription};
-use harp_types::{AppId, CoreId, FaultEvent, HarpError, HwThreadId, PriorityClass, Result};
+use harp_types::{AppId, CoreId, FaultEvent, HarpError, PriorityClass, Result};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cmp::Reverse;
@@ -155,7 +155,6 @@ struct ArrivalRec {
     at: SimTime,
     spec: AppSpec,
     opts: LaunchOpts,
-    fired: bool,
     /// Trace key for later departure/priority events (None for plain
     /// `add_arrival` scenarios).
     key: Option<u64>,
@@ -181,41 +180,55 @@ enum ScheduleOp {
 struct ScheduleRec {
     at: SimTime,
     op: ScheduleOp,
-    fired: bool,
 }
 
-#[derive(Debug, Clone, Default)]
-struct SampleState {
-    last_time: SimTime,
-    last_counted: f64,
-    last_done: f64,
-}
+/// `slot_of_app` entry of an instance that finished or departed.
+const NO_SLOT: usize = usize::MAX;
 
 /// The observable and actuatable state of the simulated machine — the
 /// interface managers program against.
+///
+/// One event costs O(live threads): instances sit in dense slots reached
+/// by index, the per-event loops walk only the runnable threads of live
+/// instances, and everything that changes only with placement (rates,
+/// power, attribution shares) is computed once per placement.
 pub struct SimState {
     topo: Topology,
     config: SimConfig,
     time: SimTime,
-    apps: HashMap<AppId, AppInstance>,
+    /// Instance slots; a dead instance's slot is reused by the next spawn.
+    insts: Vec<AppInstance>,
+    free_slots: Vec<usize>,
+    /// Slot per session id (`AppId(n)` at index `n - 1`; ids are handed
+    /// out monotonically from 1), [`NO_SLOT`] once the instance is gone.
+    slot_of_app: Vec<usize>,
+    /// Every thread ever spawned (thread ids are never reused).
     threads: Vec<ThreadState>,
+    /// Threads of live instances, ascending.
+    live: Vec<SimThreadId>,
+    /// The runnable subset of `live` as of the last placement, ascending —
+    /// what the per-event loops walk.
+    running: Vec<SimThreadId>,
     /// Per hardware thread: runnable threads assigned (time-shared).
     queues: Vec<Vec<SimThreadId>>,
+    /// Per physical core: hardware threads with a non-empty queue.
+    core_busy: Vec<usize>,
+    /// Placed threads in accumulation order with their power and CPU share.
+    placed: Vec<Placed>,
     /// Per cluster: current frequency (MHz).
     freqs: Vec<f64>,
-    /// Per simulated thread: current progress rate (work units/s).
-    rates: Vec<f64>,
-    /// Per simulated thread: current counter rate (inflated work units/s).
-    counter_rates: Vec<f64>,
-    /// Per simulated thread: busy fraction (1.0 = computing continuously;
-    /// lower when synchronization contention blocks the thread, which
-    /// idles the core and saves power).
-    activity: Vec<f64>,
     energy: EnergyAccount,
     timers: BinaryHeap<Reverse<(SimTime, u64)>>,
+    /// Arrivals in insertion order (the restart policy looks names up in
+    /// this order); `arrival_order[arrival_cursor..]` are the pending ones
+    /// by time.
     arrivals: Vec<ArrivalRec>,
-    /// Non-arrival trace events (departures, priority changes, load shifts).
+    arrival_order: Vec<usize>,
+    arrival_cursor: usize,
+    /// Non-arrival trace events (departures, priority changes, load
+    /// shifts, faults); `schedule[schedule_cursor..]` are pending, by time.
     schedule: Vec<ScheduleRec>,
+    schedule_cursor: usize,
     /// Trace key → live session id for keyed arrivals.
     trace_keys: HashMap<u64, AppId>,
     /// Machine-wide progress-rate scale set by load-phase shifts (1.0 =
@@ -229,13 +242,17 @@ pub struct SimState {
     /// bit-identical to the pre-fault engine.
     faults: FaultState,
     next_app_id: u64,
+    /// Placement inputs changed since the last `prepare` (runnable set,
+    /// affinity, team, load scale, faults): placement, rates and power are
+    /// recomputed; otherwise an event reuses them.
     dirty: bool,
     needs_chunks: Vec<AppId>,
     rng: ChaCha8Rng,
-    samples: HashMap<AppId, SampleState>,
     completed: Vec<AppReport>,
     notifications: VecDeque<MgrEvent>,
     events: u64,
+    /// Thread entries the event-loop passes walked so far (counted work).
+    thread_visits: u64,
     /// Sorted cache of live app ids; app ids are monotonically increasing,
     /// so spawns append and exits remove — no per-query clone-and-sort.
     sorted_app_ids: Vec<AppId>,
@@ -243,8 +260,8 @@ pub struct SimState {
     /// round-robin order), cleared rather than reallocated per barrier.
     scratch_per_app: Vec<Vec<SimThreadId>>,
     scratch_order: Vec<SimThreadId>,
-    /// Reusable scratch for `compute_rates` raw per-thread rates.
-    scratch_raw: Vec<f64>,
+    /// Reusable scratch for `rebalance`: hardware threads per placement rank.
+    scratch_ranks: Vec<u128>,
     /// Reusable scratch for `process_due` finished-thread collection.
     scratch_finished: Vec<SimThreadId>,
 }
@@ -253,7 +270,7 @@ impl std::fmt::Debug for SimState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimState")
             .field("time", &self.time)
-            .field("apps", &self.apps.len())
+            .field("apps", &self.sorted_app_ids.len())
             .field("threads", &self.threads.len())
             .field("events", &self.events)
             .finish()
@@ -274,37 +291,64 @@ impl SimState {
             .collect();
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
         SimState {
-            topo,
             config,
             time: 0,
-            apps: HashMap::new(),
+            insts: Vec::new(),
+            free_slots: Vec::new(),
+            slot_of_app: Vec::new(),
             threads: Vec::new(),
+            live: Vec::new(),
+            running: Vec::new(),
             queues: vec![Vec::new(); n_threads],
+            core_busy: vec![0; topo.n_cores],
+            placed: Vec::new(),
             freqs,
-            rates: Vec::new(),
-            counter_rates: Vec::new(),
-            activity: Vec::new(),
             energy: EnergyAccount::new(num_kinds),
             timers: BinaryHeap::new(),
             arrivals: Vec::new(),
+            arrival_order: Vec::new(),
+            arrival_cursor: 0,
             schedule: Vec::new(),
+            schedule_cursor: 0,
             trace_keys: HashMap::new(),
             rate_scale: 1.0,
             faults,
             next_app_id: 1,
-            dirty: false,
+            // The first `prepare` computes the idle machine's draw.
+            dirty: true,
             needs_chunks: Vec::new(),
             rng,
-            samples: HashMap::new(),
             completed: Vec::new(),
             notifications: VecDeque::new(),
             events: 0,
+            thread_visits: 0,
             sorted_app_ids: Vec::new(),
             scratch_per_app: Vec::new(),
             scratch_order: Vec::new(),
-            scratch_raw: Vec::new(),
+            scratch_ranks: Vec::new(),
             scratch_finished: Vec::new(),
+            topo,
         }
+    }
+
+    /// Slot of a live session.
+    fn slot_of(&self, app: AppId) -> Option<usize> {
+        let idx = usize::try_from(app.0.checked_sub(1)?).ok()?;
+        self.slot_of_app.get(idx).copied().filter(|&s| s != NO_SLOT)
+    }
+
+    fn inst(&self, app: AppId) -> Option<&AppInstance> {
+        self.slot_of(app).map(|s| &self.insts[s])
+    }
+
+    fn live_slot(&self, app: AppId) -> Result<usize> {
+        self.slot_of(app)
+            .ok_or_else(|| HarpError::not_found(format!("{app}")))
+    }
+
+    fn inst_mut(&mut self, app: AppId) -> Result<&mut AppInstance> {
+        let slot = self.live_slot(app)?;
+        Ok(&mut self.insts[slot])
     }
 
     // ------------------------------------------------------------------
@@ -323,42 +367,39 @@ impl SimState {
 
     /// Ids of all currently running applications, sorted ascending. This is
     /// a cached view maintained on app start/exit — no allocation per call.
-    /// Callers that mutate the state while iterating must copy it first
-    /// (`st.app_ids().to_vec()`).
+    /// Sampling, overhead charging and actuation leave it untouched, so a
+    /// caller that mutates the state per app can walk it by index.
     pub fn app_ids(&self) -> &[AppId] {
         &self.sorted_app_ids
     }
 
     /// Name of a running application.
     pub fn app_name(&self, app: AppId) -> Option<&str> {
-        self.apps.get(&app).map(|a| a.name.as_str())
+        self.inst(app).map(|a| a.name.as_str())
     }
 
     /// Behaviour spec of a running application. Managers that classify
     /// threads by instruction mix (the ITD baseline) read the observable
     /// mix characteristics from here.
     pub fn app_spec(&self, app: AppId) -> Option<&AppSpec> {
-        self.apps.get(&app).map(|a| &a.spec)
+        self.inst(app).map(|a| &a.spec)
     }
 
     /// Current team size (parallelization degree) of an application.
     pub fn team_size(&self, app: AppId) -> Option<u32> {
-        self.apps.get(&app).map(|a| a.team_target)
+        self.inst(app).map(|a| a.team_target)
     }
 
     /// Current application-wide affinity mask.
     pub fn app_affinity(&self, app: AppId) -> Option<Affinity> {
-        self.apps.get(&app).map(|a| a.affinity)
+        self.inst(app).map(|a| a.affinity)
     }
 
     /// Thread ids of an application (worker rank order). Returns a borrowed
     /// view into the instance — no per-query clone; unknown apps yield an
     /// empty slice.
     pub fn threads_of_app(&self, app: AppId) -> &[SimThreadId] {
-        self.apps
-            .get(&app)
-            .map(|a| a.threads.as_slice())
-            .unwrap_or(&[])
+        self.inst(app).map(|a| a.threads.as_slice()).unwrap_or(&[])
     }
 
     /// Samples the application's retired-instruction counter since the last
@@ -366,20 +407,15 @@ impl SimState {
     /// perf-style noise. Returns `None` for unknown apps or when no time
     /// elapsed.
     pub fn sample_app_work(&mut self, app: AppId) -> Option<(f64, SimTime)> {
-        let inst = self.apps.get(&app)?;
-        let counted = inst.counted_work;
-        let entry = self.samples.entry(app).or_insert(SampleState {
-            last_time: inst.start,
-            last_counted: 0.0,
-            last_done: 0.0,
-        });
-        let dt = self.time.checked_sub(entry.last_time)?;
+        let slot = self.slot_of(app)?;
+        let inst = &mut self.insts[slot];
+        let dt = self.time.checked_sub(inst.sample.last_time)?;
         if dt == 0 {
             return None;
         }
-        let dw = (counted - entry.last_counted).max(0.0);
-        entry.last_time = self.time;
-        entry.last_counted = counted;
+        let dw = (inst.counted_work - inst.sample.last_counted).max(0.0);
+        inst.sample.last_time = self.time;
+        inst.sample.last_counted = inst.counted_work;
         let noise = self.config.sample_noise;
         let factor = 1.0 + (self.rng.random::<f64>() * 2.0 - 1.0) * noise * 1.732;
         Some((dw * factor.max(0.0), dt))
@@ -389,21 +425,16 @@ impl SimState {
     /// the last utility sample — what libharp reports for applications with
     /// `provides_utility`. Less noisy than perf sampling.
     pub fn sample_app_utility(&mut self, app: AppId) -> Option<(f64, SimTime)> {
-        let inst = self.apps.get(&app)?;
-        let done = inst.done_work;
-        let entry = self.samples.entry(app).or_insert(SampleState {
-            last_time: inst.start,
-            last_counted: 0.0,
-            last_done: 0.0,
-        });
-        let dt = self.time.checked_sub(entry.last_time)?;
+        let slot = self.slot_of(app)?;
+        let inst = &mut self.insts[slot];
+        let dt = self.time.checked_sub(inst.sample.last_time)?;
         if dt == 0 {
             return None;
         }
-        let dw = (done - entry.last_done).max(0.0);
-        entry.last_done = done;
-        entry.last_time = self.time;
-        entry.last_counted = inst.counted_work;
+        let dw = (inst.done_work - inst.sample.last_done).max(0.0);
+        inst.sample.last_done = inst.done_work;
+        inst.sample.last_time = self.time;
+        inst.sample.last_counted = inst.counted_work;
         Some((dw, dt))
     }
 
@@ -417,20 +448,37 @@ impl SimState {
         self.energy.package_energy
     }
 
-    /// Per-kind CPU seconds an application has consumed — the scheduler
-    /// accounting the EnergAt-style attribution reads (paper §5.1).
-    pub fn app_cpu_time(&self, app: AppId) -> Vec<f64> {
-        self.energy
-            .app_cpu_time
-            .get(&app)
-            .cloned()
-            .unwrap_or_else(|| vec![0.0; self.topo.hw.num_kinds()])
+    /// Per-kind CPU seconds a running application has consumed — the
+    /// scheduler accounting the EnergAt-style attribution reads (paper
+    /// §5.1). A borrowed view of the instance's account, index = core
+    /// kind; empty for sessions that are not running.
+    pub fn app_cpu_time(&self, app: AppId) -> &[f64] {
+        self.inst(app).map_or(&[], |a| &a.cpu_time)
     }
 
-    /// Ground-truth dynamic energy attributed to an application — used only
-    /// to *validate* attribution, never by managers.
+    /// Ground-truth dynamic energy attributed to an application, running
+    /// or completed — used only to *validate* attribution, never by
+    /// managers.
     pub fn true_app_energy(&self, app: AppId) -> f64 {
-        self.energy.app_energy.get(&app).copied().unwrap_or(0.0)
+        match self.inst(app) {
+            Some(inst) => inst.energy_j,
+            None => self
+                .completed
+                .iter()
+                .rev()
+                .find(|r| r.app_id == app)
+                .map_or(0.0, |r| r.energy_true_j),
+        }
+    }
+
+    /// Counted work of the engine so far: `(events, thread_visits)` —
+    /// events processed and thread entries walked by the event-loop passes
+    /// (placement, rates, power, next-event scan, integration, completion
+    /// scan). Visits per event are bounded by a constant number of passes
+    /// over the live threads, however many instances ran before.
+    #[doc(hidden)]
+    pub fn work_counters(&self) -> (u64, u64) {
+        (self.events, self.thread_visits)
     }
 
     // ------------------------------------------------------------------
@@ -447,10 +495,8 @@ impl SimState {
         if affinity.is_empty() {
             return Err(HarpError::other("affinity mask must not be empty"));
         }
-        let inst = self
-            .apps
-            .get_mut(&app)
-            .ok_or_else(|| HarpError::not_found(format!("{app}")))?;
+        let slot = self.live_slot(app)?;
+        let inst = &mut self.insts[slot];
         inst.affinity = affinity;
         for &t in &inst.threads {
             self.threads[t.0].affinity_override = None;
@@ -487,11 +533,7 @@ impl SimState {
     /// Returns [`HarpError::NotFound`] for unknown apps.
     pub fn set_team_size(&mut self, app: AppId, team: u32) -> Result<()> {
         let max = self.config.max_team;
-        let inst = self
-            .apps
-            .get_mut(&app)
-            .ok_or_else(|| HarpError::not_found(format!("{app}")))?;
-        inst.team_target = team.clamp(1, max);
+        self.inst_mut(app)?.team_target = team.clamp(1, max);
         Ok(())
     }
 
@@ -505,7 +547,7 @@ impl SimState {
         self.trace_keys
             .get(&key)
             .copied()
-            .filter(|app| self.apps.contains_key(app))
+            .filter(|&app| self.slot_of(app).is_some())
     }
 
     /// The current machine-wide load-phase rate scale (1.0 = nominal).
@@ -523,11 +565,8 @@ impl SimState {
     /// chunk — modelling libharp message handling on the application's
     /// critical path (used for the §6.6 overhead study).
     pub fn charge_overhead(&mut self, app: AppId, ns: SimTime) {
-        let base_rate = {
-            let c = &self.topo.hw.clusters[0];
-            c.perf.ips_per_thread
-        };
-        if let Some(inst) = self.apps.get_mut(&app) {
+        let base_rate = self.topo.hw.clusters[0].perf.ips_per_thread;
+        if let Ok(inst) = self.inst_mut(app) {
             let eff = inst.spec.kind_efficiency[0].max(1e-9);
             inst.pending_overhead += ns as f64 / 1e9 * base_rate * eff;
         }
@@ -561,21 +600,31 @@ impl SimState {
             done_work: 0.0,
             counted_work: 0.0,
             pending_overhead: 0.0,
-            alive: true,
-        };
-        self.apps.insert(id, inst);
-        // Ids are handed out monotonically, so appending keeps the cache
-        // sorted.
-        self.sorted_app_ids.push(id);
-        self.samples.insert(
-            id,
-            SampleState {
+            energy_j: 0.0,
+            cpu_time: vec![0.0; self.topo.hw.num_kinds()],
+            sample: SampleState {
                 last_time: self.time,
                 last_counted: 0.0,
                 last_done: 0.0,
             },
-        );
-        self.start_iteration(id);
+            contention: 1.0,
+            span_factor: 1.0,
+        };
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.insts[slot] = inst;
+                slot
+            }
+            None => {
+                self.insts.push(inst);
+                self.insts.len() - 1
+            }
+        };
+        // Ids are handed out monotonically, so appending keeps both the
+        // id → slot table dense and the id cache sorted.
+        self.slot_of_app.push(slot);
+        self.sorted_app_ids.push(id);
+        self.start_iteration(slot);
         if harp_obs::enabled() {
             harp_obs::instant(harp_obs::Subsystem::Sim, "app_started")
                 .field("app", id.0)
@@ -588,106 +637,114 @@ impl SimState {
     }
 
     /// Activates the workers of the current iteration of the current phase.
-    fn start_iteration(&mut self, app: AppId) {
-        let (width, thread_count) = {
-            let inst = &self.apps[&app];
-            (
-                inst.phase_width().min(self.config.max_team) as usize,
-                inst.threads.len(),
-            )
-        };
-        // Spawn missing worker threads.
-        for _ in thread_count..width {
+    fn start_iteration(&mut self, slot: usize) {
+        let inst = &mut self.insts[slot];
+        let width = inst.phase_width().min(self.config.max_team) as usize;
+        // Spawn missing worker threads. Thread ids grow monotonically, so
+        // appending keeps the live list ascending.
+        for _ in inst.threads.len()..width {
             let tid = SimThreadId(self.threads.len());
             self.threads.push(ThreadState {
-                app,
+                app: inst.id,
+                slot,
                 affinity_override: None,
                 chunk: None,
                 assigned_hwt: None,
+                rate: 0.0,
+                counter_rate: 0.0,
             });
-            self.apps.get_mut(&app).unwrap().threads.push(tid);
+            inst.threads.push(tid);
+            self.live.push(tid);
         }
-        let inst = self.apps.get_mut(&app).unwrap();
         inst.active.clear();
         inst.active.extend_from_slice(&inst.threads[..width]);
-        if !self.needs_chunks.contains(&app) {
-            self.needs_chunks.push(app);
+        if !self.needs_chunks.contains(&inst.id) {
+            self.needs_chunks.push(inst.id);
         }
         self.dirty = true;
     }
 
     /// Distributes the iteration work as chunks (called from `prepare`).
+    /// `needs_chunks` stays filled for the dynamic re-split pass.
     fn assign_equal_chunks(&mut self) {
-        let pending = std::mem::take(&mut self.needs_chunks);
-        for app in &pending {
-            let inst = match self.apps.get_mut(app) {
-                Some(i) => i,
-                None => continue,
+        for i in 0..self.needs_chunks.len() {
+            // An instance may have departed since its iteration started.
+            let Some(slot) = self.slot_of(self.needs_chunks[i]) else {
+                continue;
             };
+            let inst = &mut self.insts[slot];
             let mut work = inst.iteration_work();
             // Charge pending RM overhead on the master's critical path.
             let overhead = std::mem::replace(&mut inst.pending_overhead, 0.0);
             work += overhead;
             let n = inst.active.len().max(1);
             let chunk = work / n as f64;
-            // Move the active list out while writing the chunks so no
-            // per-barrier clone is needed, then put it back.
-            let active = std::mem::take(&mut inst.active);
-            for &t in &active {
+            for &t in &inst.active {
                 self.threads[t.0].chunk = Some(chunk);
             }
-            self.apps.get_mut(app).unwrap().active = active;
         }
-        self.needs_chunks = pending; // keep for the dynamic re-split pass
         self.dirty = true;
     }
 
     /// Re-splits freshly assigned chunks proportionally to observed rates
     /// for applications with dynamic load balancing.
     fn rebalance_dynamic_chunks(&mut self) {
-        let pending = std::mem::take(&mut self.needs_chunks);
-        for app in pending {
-            let inst = match self.apps.get(&app) {
-                Some(i) => i,
-                None => continue,
+        for i in 0..self.needs_chunks.len() {
+            let Some(slot) = self.slot_of(self.needs_chunks[i]) else {
+                continue;
             };
+            let inst = &self.insts[slot];
             if !inst.spec.dynamic_balance || inst.active.len() <= 1 {
                 continue;
             }
-            // Two passes over the (borrowed) active list; rates are re-read
-            // in the second pass so no per-barrier rate vector is built.
-            let active = &inst.active;
-            let total: f64 = active.iter().filter_map(|t| self.threads[t.0].chunk).sum();
-            let rate_of =
-                |rates: &[f64], t: &SimThreadId| rates.get(t.0).copied().unwrap_or(0.0).max(1e-9);
-            let rate_sum: f64 = active.iter().map(|t| rate_of(&self.rates, t)).sum();
+            let threads = &mut self.threads;
+            let total: f64 = inst.active.iter().filter_map(|t| threads[t.0].chunk).sum();
+            let rate_sum: f64 = inst
+                .active
+                .iter()
+                .map(|t| threads[t.0].rate.max(1e-9))
+                .sum();
             if rate_sum <= 0.0 {
                 continue;
             }
-            let active = std::mem::take(&mut self.apps.get_mut(&app).unwrap().active);
-            for t in &active {
-                let r = rate_of(&self.rates, t);
-                self.threads[t.0].chunk = Some(total * r / rate_sum);
+            for t in &inst.active {
+                let th = &mut threads[t.0];
+                th.chunk = Some(total * th.rate.max(1e-9) / rate_sum);
             }
-            self.apps.get_mut(&app).unwrap().active = active;
         }
+        self.needs_chunks.clear();
     }
 
     /// Recomputes thread→hardware-thread placement (CFS-style: fill idle
     /// hardware threads first, prefer cores without busy siblings, then
-    /// balance queue lengths).
+    /// balance queue lengths) — for each runnable thread in round-robin
+    /// order, the allowed online hardware thread with the smallest
+    /// `(queue length, busy siblings, id)`.
     fn rebalance(&mut self) {
         for q in &mut self.queues {
             q.clear();
         }
+        self.core_busy.fill(0);
+        // The runnable set, and idle rates for every live thread (placed
+        // ones get theirs in `compute_rates`).
+        self.running.clear();
+        for &t in &self.live {
+            let th = &mut self.threads[t.0];
+            th.rate = 0.0;
+            th.counter_rate = 0.0;
+            if th.runnable() {
+                self.running.push(t);
+            }
+        }
+        self.thread_visits += self.live.len() as u64;
         // Round-robin across apps so co-running apps interleave fairly. The
         // app-id cache is already sorted, and each instance's thread list is
         // built in ascending rank order, so no per-barrier sort is needed;
         // the per-app lists and the round-robin order reuse scratch storage.
         let mut per_app = std::mem::take(&mut self.scratch_per_app);
         let mut used = 0;
-        for &app in &self.sorted_app_ids {
-            let inst = &self.apps[&app];
+        for slot in self.sorted_app_ids.iter().filter_map(|&a| self.slot_of(a)) {
+            let inst = &self.insts[slot];
             if used == per_app.len() {
                 per_app.push(Vec::new());
             }
@@ -703,6 +760,7 @@ impl SimState {
                 used += 1;
             }
         }
+        self.thread_visits += self.live.len() as u64;
         let mut order = std::mem::take(&mut self.scratch_order);
         order.clear();
         let mut i = 0;
@@ -720,74 +778,90 @@ impl SimState {
             i += 1;
         }
         self.scratch_per_app = per_app;
+        // Hardware threads bucketed by placement rank `qlen * width +
+        // busy_sibs` (online ones only: the OS migrates runnable threads
+        // off an offline core, and a thread whose whole mask is offline
+        // stalls). The first bucket meeting a thread's mask holds its best
+        // (qlen, busy_sibs) and the lowest set bit the smallest such
+        // hardware thread, so a placement costs the buckets scanned plus
+        // re-ranking one core, not a walk over every hardware thread.
+        let width = self.topo.max_smt_width;
+        let ranks = &mut self.scratch_ranks;
+        ranks.clear();
+        ranks.push(
+            (0..self.topo.n_threads)
+                .filter(|&h| self.faults.is_online(CoreId(self.topo.thread_core[h])))
+                .fold(0, |online, h| online | 1u128 << h),
+        );
         for &t in &order {
-            let aff = self.threads[t.0]
+            let th = &mut self.threads[t.0];
+            let mask = th
                 .affinity_override
-                .unwrap_or(self.apps[&self.threads[t.0].app].affinity);
-            let mut best: Option<(usize, usize, usize)> = None; // (qlen, busy_sibs, hwt)
-            for hwt in 0..self.topo.n_threads {
-                if !aff.allows(HwThreadId(hwt)) {
-                    continue;
+                .unwrap_or(self.insts[th.slot].affinity)
+                .bits();
+            let best = ranks.iter().enumerate().find_map(|(rank, &hwts)| {
+                let hit = hwts & mask;
+                (hit != 0).then(|| (rank, hit.trailing_zeros() as usize))
+            });
+            th.assigned_hwt = best.map(|(_, hwt)| hwt);
+            let Some((rank, hwt)) = best else {
+                continue;
+            };
+            let mut rerank = |hwt: usize, from: usize, to: usize| {
+                if to >= ranks.len() {
+                    ranks.resize(to + 1, 0);
                 }
-                // Hotplug: the OS migrates runnable threads off an offline
-                // core; a thread whose whole mask is offline stalls.
-                if !self.faults.is_online(CoreId(self.topo.thread_core[hwt])) {
-                    continue;
-                }
-                let qlen = self.queues[hwt].len();
+                ranks[from] &= !(1u128 << hwt);
+                ranks[to] |= 1u128 << hwt;
+            };
+            // One more in its queue; its own busy-sibling count stands.
+            rerank(hwt, rank, rank + width);
+            if rank < width {
+                // The queue was empty: every sibling gains a busy sibling.
                 let core = self.topo.thread_core[hwt];
-                let busy_sibs = self.topo.core_threads[core]
-                    .iter()
-                    .filter(|&&h| h != hwt && !self.queues[h].is_empty())
-                    .count();
-                let key = (qlen, busy_sibs, hwt);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
+                for &sib in &self.topo.core_threads[core] {
+                    if sib != hwt {
+                        let qlen = self.queues[sib].len();
+                        let from = qlen * width + self.core_busy[core] - usize::from(qlen > 0);
+                        rerank(sib, from, from + 1);
+                    }
                 }
+                self.core_busy[core] += 1;
             }
-            if let Some((_, _, hwt)) = best {
-                self.queues[hwt].push(t);
-                self.threads[t.0].assigned_hwt = Some(hwt);
-            } else {
-                self.threads[t.0].assigned_hwt = None;
-            }
+            self.queues[hwt].push(t);
         }
+        self.thread_visits += order.len() as u64;
         self.scratch_order = order;
         self.dirty = false;
     }
 
-    /// Recomputes cluster frequencies and all per-thread progress rates.
+    /// Recomputes cluster frequencies and the progress rate of every placed
+    /// thread. Follows `rebalance`, whose queues and busy counts it reads.
     fn compute_rates(&mut self) {
-        let n = self.threads.len();
-        // Reset in place: these vectors are recomputed every barrier, so
-        // keep their capacity instead of reallocating.
-        self.rates.clear();
-        self.rates.resize(n, 0.0);
-        self.counter_rates.clear();
-        self.counter_rates.resize(n, 0.0);
-        self.activity.clear();
-        self.activity.resize(n, 0.0);
         // Governor: instantaneous utilization per cluster.
-        let num_kinds = self.topo.hw.num_kinds();
-        let mut busy_per_kind = vec![0usize; num_kinds];
-        for hwt in 0..self.topo.n_threads {
-            if !self.queues[hwt].is_empty() {
-                busy_per_kind[self.topo.kind_of_hwt(hwt)] += 1;
-            }
-        }
-        for (k, &busy) in busy_per_kind.iter().enumerate() {
+        for k in 0..self.topo.hw.num_kinds() {
+            let busy: usize = (0..self.topo.n_cores)
+                .filter(|&core| self.topo.core_kind[core] == k)
+                .map(|core| self.core_busy[core])
+                .sum();
             let util = busy as f64 / self.topo.cluster_thread_count[k].max(1) as f64;
             self.freqs[k] = self
                 .config
                 .governor
                 .frequency(&self.topo.hw.clusters[k], util);
         }
-        // Statically balanced teams spanning multiple core kinds pay the
+        // Per instance: the contention factor of its active team, and for
+        // statically balanced teams spanning multiple core kinds the
         // heterogeneous-barrier-imbalance penalty (paper §2.2), scaled by
         // the actual rate spread between the kinds spanned — the A15/A7
         // imbalance (≈2.8x) wastes far more barrier time than P/E (≈1.8x).
-        let mut span_factor: HashMap<AppId, f64> = HashMap::new();
-        for (id, inst) in &self.apps {
+        for i in 0..self.sorted_app_ids.len() {
+            let Some(slot) = self.slot_of(self.sorted_app_ids[i]) else {
+                continue;
+            };
+            let inst = &mut self.insts[slot];
+            inst.contention = inst.spec.contention.factor(inst.active.len() as u32);
+            inst.span_factor = 1.0; // multiplying by 1.0 is the identity
             if inst.spec.dynamic_balance || inst.spec.hetero_penalty <= 0.0 {
                 continue;
             }
@@ -810,13 +884,11 @@ impl SimState {
             }
             if distinct > 1 && min_rate > 0.0 {
                 let spread = (max_rate / min_rate - 1.0).max(0.0);
-                span_factor.insert(*id, 1.0 / (1.0 + inst.spec.hetero_penalty * spread));
+                inst.span_factor = 1.0 / (1.0 + inst.spec.hetero_penalty * spread);
             }
         }
-        // Per-thread raw rates (reused scratch).
-        let mut raw = std::mem::take(&mut self.scratch_raw);
-        raw.clear();
-        raw.resize(n, 0.0);
+        self.thread_visits += self.live.len() as u64;
+        // Raw per-thread rates, hardware thread by hardware thread.
         for hwt in 0..self.topo.n_threads {
             let m = self.queues[hwt].len();
             if m == 0 {
@@ -833,14 +905,13 @@ impl SimState {
             // A thermal cap scales effective IPS like a frequency clamp;
             // 1000 permille multiplies by 1.0 (bit-identical when healthy).
             let cap = f64::from(self.faults.cap_permille(kind)) / 1000.0;
-            let busy_sibs = self.topo.core_threads[core]
-                .iter()
-                .filter(|&&h| !self.queues[h].is_empty())
-                .count() as u32;
+            let busy_sibs = self.core_busy[core] as u32;
             let solo_rate = cluster.thread_rate(self.freqs[kind], 1) * cap;
+            let shared_rate = cluster.thread_rate(self.freqs[kind], busy_sibs) * cap;
             for &t in &self.queues[hwt] {
-                let inst = &self.apps[&self.threads[t.0].app];
-                let mut r = cluster.thread_rate(self.freqs[kind], busy_sibs) * cap;
+                let th = &mut self.threads[t.0];
+                let inst = &self.insts[th.slot];
+                let mut r = shared_rate;
                 if busy_sibs > 1 {
                     r = (r * inst.spec.smt_efficiency).min(solo_rate);
                 }
@@ -848,45 +919,117 @@ impl SimState {
                 // Synchronization/contention vs. active workers: contended
                 // threads block rather than spin, so the same factor is the
                 // thread's busy fraction for the power model.
-                let contention = inst.spec.contention.factor(inst.active.len() as u32);
-                r *= contention;
-                self.activity[t.0] = contention;
-                if let Some(f) = span_factor.get(&self.threads[t.0].app) {
-                    r *= f;
-                }
+                r *= inst.contention;
+                r *= inst.span_factor;
                 // Time sharing + lock-holder preemption.
                 if m > 1 {
                     r /= m as f64;
                     r /= 1.0 + inst.spec.preemption_penalty * (m - 1) as f64;
                 }
-                raw[t.0] = r * self.rate_scale;
+                th.rate = r * self.rate_scale;
             }
         }
         // Shared memory bandwidth: proportional scaling of the memory-bound
-        // rate portion when aggregate demand exceeds capacity.
+        // rate portion when aggregate demand exceeds capacity. Summed in
+        // ascending thread order.
         let mut demand = 0.0;
-        for (i, t) in self.threads.iter().enumerate() {
-            if raw[i] > 0.0 {
-                demand += raw[i] * self.apps[&t.app].spec.mem_intensity;
+        for &t in &self.running {
+            let th = &self.threads[t.0];
+            if th.rate > 0.0 {
+                demand += th.rate * self.insts[th.slot].spec.mem_intensity;
             }
         }
         let bw = self.topo.hw.mem_bandwidth;
         let scale = if demand > bw { bw / demand } else { 1.0 };
-        for (i, t) in self.threads.iter().enumerate() {
-            if raw[i] <= 0.0 {
+        for &t in &self.running {
+            let th = &mut self.threads[t.0];
+            if th.rate <= 0.0 {
                 continue;
             }
-            let inst = &self.apps[&t.app];
+            let inst = &self.insts[th.slot];
             let mi = inst.spec.mem_intensity;
-            let r = raw[i] * ((1.0 - mi) + mi * scale);
-            let kind = t
+            let r = th.rate * ((1.0 - mi) + mi * scale);
+            let kind = th
                 .assigned_hwt
                 .map(|h| self.topo.kind_of_hwt(h))
                 .unwrap_or(0);
-            self.rates[i] = r;
-            self.counter_rates[i] = r * inst.spec.ips_inflation[kind];
+            th.rate = r;
+            th.counter_rate = r * inst.spec.ips_inflation[kind];
         }
-        self.scratch_raw = raw;
+        self.thread_visits += 3 * self.running.len() as u64;
+    }
+
+    /// Recomputes the machine's draw and every placed thread's share of it
+    /// (ground-truth attribution). Follows `compute_rates`.
+    fn compute_power(&mut self) {
+        self.placed.clear();
+        let num_kinds = self.topo.hw.num_kinds();
+        let mut package_power = self.topo.hw.package_static_w;
+        for k in 0..num_kinds {
+            package_power += self.topo.hw.clusters[k].power.cluster_static_w;
+        }
+        // Core power is summed per cluster first; the static share joins
+        // once the package total has taken the core sum.
+        let cluster_power = &mut self.energy.cluster_w;
+        cluster_power.fill(0.0);
+        for core in 0..self.topo.n_cores {
+            if !self.faults.is_online(CoreId(core)) {
+                // Hotplugged cores are powered down entirely: no idle
+                // draw, no attribution.
+                continue;
+            }
+            let kind = self.topo.core_kind[core];
+            let cluster = &self.topo.hw.clusters[kind];
+            // A thermal cap clamps the effective frequency the power
+            // model sees (DVFS-style throttle); cap 1000 is exact
+            // identity.
+            let cap = f64::from(self.faults.cap_permille(kind)) / 1000.0;
+            let busy_count = self.core_busy[core];
+            let p = cluster.core_power(self.freqs[kind] * cap, busy_count as u32);
+            // Contention-blocked threads idle the core part-time: scale
+            // the core's active power by its mean busy fraction.
+            let mean_activity = if busy_count == 0 {
+                0.0
+            } else {
+                self.topo.core_threads[core]
+                    .iter()
+                    .filter(|&&h| !self.queues[h].is_empty())
+                    .map(|&h| {
+                        let q = &self.queues[h];
+                        q.iter()
+                            .map(|t| self.insts[self.threads[t.0].slot].contention)
+                            .sum::<f64>()
+                            / q.len().max(1) as f64
+                    })
+                    .sum::<f64>()
+                    / busy_count as f64
+            };
+            let p = cluster.power.core_idle_w
+                + (p - cluster.power.core_idle_w).max(0.0) * mean_activity;
+            cluster_power[kind] += p;
+            if busy_count > 0 {
+                // Ground-truth attribution of the core's active power.
+                let active = (p - cluster.power.core_idle_w).max(0.0);
+                let per_hwt = active / busy_count as f64;
+                for &h in &self.topo.core_threads[core] {
+                    let m = self.queues[h].len() as f64;
+                    for t in &self.queues[h] {
+                        self.placed.push(Placed {
+                            slot: self.threads[t.0].slot,
+                            kind,
+                            power_w: per_hwt / m,
+                            sharers: m,
+                        });
+                    }
+                }
+            }
+        }
+        for (k, cp) in cluster_power.iter_mut().enumerate() {
+            package_power += *cp;
+            *cp += self.topo.hw.clusters[k].power.cluster_static_w;
+        }
+        self.energy.package_w = package_power;
+        self.thread_visits += 2 * self.placed.len() as u64;
     }
 
     fn prepare(&mut self) {
@@ -895,48 +1038,45 @@ impl SimState {
         }
         if self.dirty {
             self.rebalance();
+            self.compute_rates();
+            self.compute_power();
         }
-        self.compute_rates();
         if !self.needs_chunks.is_empty() {
             self.rebalance_dynamic_chunks();
         }
     }
 
     /// Time of the next event (chunk completion, timer, arrival), if any.
-    fn next_event_time(&self) -> Option<SimTime> {
+    fn next_event_time(&mut self) -> Option<SimTime> {
         let mut next: Option<SimTime> = None;
         let mut consider = |t: SimTime| {
             next = Some(next.map_or(t, |n| n.min(t)));
         };
-        for (i, t) in self.threads.iter().enumerate() {
-            if let Some(chunk) = t.chunk {
-                let rate = self.rates[i];
-                if rate > 0.0 {
-                    let dt_ns = (chunk / rate * 1e9).ceil().max(1.0);
+        for &t in &self.running {
+            let th = &self.threads[t.0];
+            if let Some(chunk) = th.chunk {
+                if th.rate > 0.0 {
+                    let dt_ns = (chunk / th.rate * 1e9).ceil().max(1.0);
                     if dt_ns.is_finite() {
                         consider(self.time + dt_ns as SimTime);
                     }
                 }
             }
         }
-        let have_apps = !self.apps.is_empty();
-        let have_arrivals = self.arrivals.iter().any(|a| !a.fired);
-        let have_sched = self.schedule.iter().any(|s| !s.fired);
+        self.thread_visits += self.running.len() as u64;
+        let next_arrival = self.arrival_order.get(self.arrival_cursor);
+        let next_sched = self.schedule.get(self.schedule_cursor);
         if let Some(&Reverse((t, _))) = self.timers.peek() {
             // Timers only keep the simulation alive while work remains.
-            if have_apps || have_arrivals || have_sched {
+            if !self.sorted_app_ids.is_empty() || next_arrival.is_some() || next_sched.is_some() {
                 consider(t);
             }
         }
-        for a in &self.arrivals {
-            if !a.fired {
-                consider(a.at);
-            }
+        if let Some(&i) = next_arrival {
+            consider(self.arrivals[i].at);
         }
-        for s in &self.schedule {
-            if !s.fired {
-                consider(s.at);
-            }
+        if let Some(s) = next_sched {
+            consider(s.at);
         }
         if let (Some(h), Some(n)) = (self.config.horizon_ns, next) {
             if n > h && self.time < h {
@@ -946,93 +1086,31 @@ impl SimState {
         next
     }
 
-    /// Integrates energy and progress up to time `t`.
+    /// Integrates energy and progress up to time `t`: a multiply-add per
+    /// runnable thread, per placed thread and per power domain.
     fn advance_to(&mut self, t: SimTime) {
         let dt_ns = t.saturating_sub(self.time);
         if dt_ns > 0 {
             let dt = dt_ns as f64 / 1e9;
-            // Progress and counters.
-            for (i, th) in self.threads.iter_mut().enumerate() {
+            // Progress and counters, in ascending thread order.
+            for &t in &self.running {
+                let th = &mut self.threads[t.0];
                 if let Some(chunk) = th.chunk {
-                    let done = self.rates[i] * dt;
+                    let done = th.rate * dt;
                     th.chunk = Some((chunk - done).max(0.0));
-                    let inst = self.apps.get_mut(&th.app).expect("thread has live app");
+                    let inst = &mut self.insts[th.slot];
                     inst.done_work += done.min(chunk);
-                    inst.counted_work += self.counter_rates[i] * dt;
+                    inst.counted_work += th.counter_rate * dt;
                 }
             }
-            // Energy.
-            let num_kinds = self.topo.hw.num_kinds();
-            let mut package_power = self.topo.hw.package_static_w;
-            for k in 0..num_kinds {
-                package_power += self.topo.hw.clusters[k].power.cluster_static_w;
+            // Ground-truth attribution, in placement order.
+            for p in &self.placed {
+                let inst = &mut self.insts[p.slot];
+                inst.energy_j += p.power_w * dt;
+                inst.cpu_time[p.kind] += dt / p.sharers;
             }
-            let mut cluster_power = vec![0.0f64; num_kinds];
-            for core in 0..self.topo.n_cores {
-                if !self.faults.is_online(CoreId(core)) {
-                    // Hotplugged cores are powered down entirely: no idle
-                    // draw, no attribution.
-                    continue;
-                }
-                let kind = self.topo.core_kind[core];
-                let cluster = &self.topo.hw.clusters[kind];
-                // A thermal cap clamps the effective frequency the power
-                // model sees (DVFS-style throttle); cap 1000 is exact
-                // identity.
-                let cap = f64::from(self.faults.cap_permille(kind)) / 1000.0;
-                // A core has at most a handful of hardware threads; iterate
-                // the (borrowed) sibling list directly instead of collecting
-                // the busy subset into a fresh vector every barrier.
-                let busy_count = self.topo.core_threads[core]
-                    .iter()
-                    .filter(|&&h| !self.queues[h].is_empty())
-                    .count();
-                let p = cluster.core_power(self.freqs[kind] * cap, busy_count as u32);
-                // Contention-blocked threads idle the core part-time: scale
-                // the core's active power by its mean busy fraction.
-                let mean_activity = if busy_count == 0 {
-                    0.0
-                } else {
-                    self.topo.core_threads[core]
-                        .iter()
-                        .filter(|&&h| !self.queues[h].is_empty())
-                        .map(|&h| {
-                            let q = &self.queues[h];
-                            q.iter()
-                                .map(|t| self.activity.get(t.0).copied().unwrap_or(1.0))
-                                .sum::<f64>()
-                                / q.len().max(1) as f64
-                        })
-                        .sum::<f64>()
-                        / busy_count as f64
-                };
-                let p = cluster.power.core_idle_w
-                    + (p - cluster.power.core_idle_w).max(0.0) * mean_activity;
-                cluster_power[kind] += p;
-                if busy_count > 0 {
-                    // Ground-truth attribution of the core's active power.
-                    let active = (p - cluster.power.core_idle_w).max(0.0);
-                    let per_hwt = active / busy_count as f64;
-                    for hi in 0..self.topo.core_threads[core].len() {
-                        let h = self.topo.core_threads[core][hi];
-                        let m = self.queues[h].len() as f64;
-                        // Index the queue instead of cloning it: the energy
-                        // account and the run queues are disjoint fields.
-                        for qi in 0..self.queues[h].len() {
-                            let tid = self.queues[h][qi];
-                            let app = self.threads[tid.0].app;
-                            self.energy.add_app_energy(app, per_hwt / m * dt);
-                            self.energy.add_app_cpu_time(app, kind, num_kinds, dt / m);
-                        }
-                    }
-                }
-            }
-            for (k, &cp) in cluster_power.iter().enumerate() {
-                self.energy.cluster_energy[k] +=
-                    (cp + self.topo.hw.clusters[k].power.cluster_static_w) * dt;
-                package_power += cp;
-            }
-            self.energy.package_energy += package_power * dt;
+            self.energy.integrate(dt);
+            self.thread_visits += (self.running.len() + self.placed.len()) as u64;
         }
         self.time = t;
     }
@@ -1046,22 +1124,25 @@ impl SimState {
         // across events.
         let mut finished_threads = std::mem::take(&mut self.scratch_finished);
         finished_threads.clear();
-        for (i, th) in self.threads.iter().enumerate() {
+        for &t in &self.running {
+            let th = &self.threads[t.0];
             if let Some(chunk) = th.chunk {
-                let rate = self.rates.get(i).copied().unwrap_or(0.0);
-                if chunk <= 0.0 || (rate > 0.0 && chunk / rate < 1.5e-9) {
-                    finished_threads.push(SimThreadId(i));
+                if chunk <= 0.0 || (th.rate > 0.0 && chunk / th.rate < 1.5e-9) {
+                    finished_threads.push(t);
                 }
             }
         }
+        self.thread_visits += self.running.len() as u64;
         for &t in &finished_threads {
             let app = self.threads[t.0].app;
             let leftover = self.threads[t.0].chunk.take().unwrap_or(0.0);
-            if let Some(inst) = self.apps.get_mut(&app) {
-                inst.done_work += leftover; // account the sub-ns residue
-            }
             self.dirty = true;
-            self.maybe_finish_iteration(app);
+            // An earlier completion of this event may have ended the
+            // instance (and a restart may already sit in its slot).
+            if let Some(slot) = self.slot_of(app) {
+                self.insts[slot].done_work += leftover; // account the sub-ns residue
+                self.maybe_finish_iteration(slot);
+            }
         }
         self.scratch_finished = finished_threads;
         // Timers.
@@ -1074,15 +1155,11 @@ impl SimState {
             }
         }
         // Arrivals.
-        let due: Vec<usize> = self
-            .arrivals
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| !a.fired && a.at <= self.time)
-            .map(|(i, _)| i)
-            .collect();
-        for i in due {
-            self.arrivals[i].fired = true;
+        while let Some(&i) = self.arrival_order.get(self.arrival_cursor) {
+            if self.arrivals[i].at > self.time {
+                break;
+            }
+            self.arrival_cursor += 1;
             let spec = self.arrivals[i].spec.clone();
             let opts = self.arrivals[i].opts;
             let key = self.arrivals[i].key;
@@ -1093,34 +1170,26 @@ impl SimState {
         }
         // Trace schedule (after arrivals, so a same-instant arrive+depart
         // pair resolves the key before the departure looks it up).
-        let due: Vec<usize> = self
-            .schedule
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.fired && s.at <= self.time)
-            .map(|(i, _)| i)
-            .collect();
-        for i in due {
-            self.schedule[i].fired = true;
-            let op = self.schedule[i].op.clone();
-            match op {
+        while let Some(rec) = self.schedule.get(self.schedule_cursor) {
+            if rec.at > self.time {
+                break;
+            }
+            self.schedule_cursor += 1;
+            match rec.op.clone() {
                 ScheduleOp::Depart { key } => {
                     // A key that never arrived, or whose instance already
                     // finished on its own, departs as a no-op.
-                    if let Some(app) = self.trace_keys.get(&key).copied() {
-                        if self.apps.contains_key(&app) {
-                            self.finish_app_inner(app, false);
-                        }
+                    if let Some(app) = self.app_of_key(key) {
+                        self.finish_app(app, false);
                     }
                 }
                 ScheduleOp::SetPriority { key, class } => {
-                    if let Some(app) = self.trace_keys.get(&key).copied() {
-                        if let Some(inst) = self.apps.get_mut(&app) {
-                            if inst.spec.priority != class {
-                                inst.spec.priority = class;
-                                self.notifications
-                                    .push_back(MgrEvent::PriorityChanged { app, class });
-                            }
+                    if let Some(app) = self.app_of_key(key) {
+                        let inst = self.inst_mut(app).expect("keyed session is live");
+                        if inst.spec.priority != class {
+                            inst.spec.priority = class;
+                            self.notifications
+                                .push_back(MgrEvent::PriorityChanged { app, class });
                         }
                     }
                 }
@@ -1143,69 +1212,54 @@ impl SimState {
         }
     }
 
-    fn maybe_finish_iteration(&mut self, app: AppId) {
-        let done = {
-            let inst = match self.apps.get(&app) {
-                Some(i) => i,
-                None => return,
-            };
-            inst.active
-                .iter()
-                .all(|t| self.threads[t.0].chunk.is_none())
-        };
-        if !done {
+    fn maybe_finish_iteration(&mut self, slot: usize) {
+        let inst = &mut self.insts[slot];
+        if !inst
+            .active
+            .iter()
+            .all(|t| self.threads[t.0].chunk.is_none())
+        {
             return;
         }
-        let (next_phase, app_done) = {
-            let inst = self.apps.get_mut(&app).unwrap();
-            inst.iter_idx += 1;
-            if inst.iter_idx >= inst.spec.phases[inst.phase_idx].iterations {
-                inst.iter_idx = 0;
-                inst.phase_idx += 1;
-                if inst.phase_idx >= inst.spec.phases.len() {
-                    inst.alive = false;
-                    (false, true)
-                } else {
-                    (true, false)
-                }
-            } else {
-                (true, false)
+        inst.iter_idx += 1;
+        if inst.iter_idx >= inst.spec.phases[inst.phase_idx].iterations {
+            inst.iter_idx = 0;
+            inst.phase_idx += 1;
+            if inst.phase_idx >= inst.spec.phases.len() {
+                let app = inst.id;
+                self.finish_app(app, true);
+                return;
             }
-        };
-        if app_done {
-            self.finish_app(app);
-        } else if next_phase {
-            self.start_iteration(app);
         }
-    }
-
-    fn finish_app(&mut self, app: AppId) {
-        self.finish_app_inner(app, true);
+        self.start_iteration(slot);
     }
 
     /// Removes an instance from the machine. `allow_restart` is false for
     /// trace departures: a force-exited app must not resurrect through the
     /// restart-until policy.
-    fn finish_app_inner(&mut self, app: AppId, allow_restart: bool) {
-        let inst = self.apps.remove(&app).expect("finishing a live app");
+    fn finish_app(&mut self, app: AppId, allow_restart: bool) {
+        let slot = self.slot_of(app).expect("finishing a live app");
+        self.slot_of_app[(app.0 - 1) as usize] = NO_SLOT;
+        self.free_slots.push(slot);
         if let Ok(pos) = self.sorted_app_ids.binary_search(&app) {
             self.sorted_app_ids.remove(pos);
         }
+        let inst = &mut self.insts[slot];
         // Release the app's threads entirely.
         for t in &inst.threads {
             self.threads[t.0].chunk = None;
         }
-        self.samples.remove(&app);
-        let report = AppReport {
+        let threads = &self.threads;
+        self.live.retain(|t| threads[t.0].slot != slot);
+        self.completed.push(AppReport {
             app_id: app,
             name: inst.name.clone(),
             instance: inst.instance,
             start_ns: inst.start,
             end_ns: self.time,
-            energy_true_j: self.true_app_energy(app),
+            energy_true_j: inst.energy_j,
             work_done: inst.done_work,
-        };
-        self.completed.push(report);
+        });
         if harp_obs::enabled() {
             harp_obs::instant(harp_obs::Subsystem::Sim, "app_exited")
                 .field("app", app.0)
@@ -1218,7 +1272,9 @@ impl SimState {
         if !allow_restart {
             return;
         }
-        // Restart policy.
+        // Restart policy: the first arrival (in insertion order) of this
+        // name says how its instances relaunch.
+        let inst = &self.insts[slot];
         let restart = self
             .arrivals
             .iter()
@@ -1227,7 +1283,8 @@ impl SimState {
         if let Some(opts) = restart {
             if let RestartPolicy::Until(until) = opts.restart {
                 if self.time < until {
-                    self.spawn_app(inst.spec.clone(), opts, inst.instance + 1);
+                    let (spec, generation) = (inst.spec.clone(), inst.instance + 1);
+                    self.spawn_app(spec, opts, generation);
                 }
             }
         }
@@ -1244,20 +1301,21 @@ impl SimState {
             .map(|a| a.end_ns)
             .max()
             .unwrap_or(self.time);
-        let mut partial: Vec<AppReport> = self
-            .apps
-            .values()
+        // Live ids are sorted, so the partial records come out by app id.
+        let partial: Vec<AppReport> = self
+            .sorted_app_ids
+            .iter()
+            .filter_map(|&app| self.inst(app))
             .map(|inst| AppReport {
                 app_id: inst.id,
                 name: inst.name.clone(),
                 instance: inst.instance,
                 start_ns: inst.start,
                 end_ns: self.time,
-                energy_true_j: self.true_app_energy(inst.id),
+                energy_true_j: inst.energy_j,
                 work_done: inst.done_work,
             })
             .collect();
-        partial.sort_by_key(|a| a.app_id);
         RunReport {
             makespan_ns: makespan,
             total_energy_j: self.energy.package_energy,
@@ -1289,7 +1347,6 @@ impl Simulation {
             at,
             spec,
             opts,
-            fired: false,
             key: None,
         });
     }
@@ -1302,7 +1359,6 @@ impl Simulation {
             at,
             spec,
             opts,
-            fired: false,
             key: Some(key),
         });
     }
@@ -1314,7 +1370,6 @@ impl Simulation {
         self.st.schedule.push(ScheduleRec {
             at,
             op: ScheduleOp::Depart { key },
-            fired: false,
         });
     }
 
@@ -1324,7 +1379,6 @@ impl Simulation {
         self.st.schedule.push(ScheduleRec {
             at,
             op: ScheduleOp::SetPriority { key, class },
-            fired: false,
         });
     }
 
@@ -1334,7 +1388,6 @@ impl Simulation {
         self.st.schedule.push(ScheduleRec {
             at,
             op: ScheduleOp::LoadShift { permille },
-            fired: false,
         });
     }
 
@@ -1346,7 +1399,6 @@ impl Simulation {
         self.st.schedule.push(ScheduleRec {
             at,
             op: ScheduleOp::Fault { ev },
-            fired: false,
         });
     }
 
@@ -1377,6 +1429,16 @@ impl Simulation {
                 });
             }
         }
+        // Pending arrivals and trace events are consumed through time-sorted
+        // cursors. Everything due at one event shares its timestamp (the
+        // loop never steps past a pending one), so the stable sort keeps
+        // the firing order what insertion order made it.
+        let st = &mut self.st;
+        st.arrival_order
+            .extend(st.arrival_order.len()..st.arrivals.len());
+        let arrivals = &st.arrivals;
+        st.arrival_order[st.arrival_cursor..].sort_by_key(|&i| arrivals[i].at);
+        st.schedule[st.schedule_cursor..].sort_by_key(|s| s.at);
         let mut sp = harp_obs::span(harp_obs::Subsystem::Sim, "run");
         if sp.is_active() {
             sp.set_field("arrivals", self.st.arrivals.len());
