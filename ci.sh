@@ -12,22 +12,36 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-echo "==> dependency audit (normal deps are what non-test source names; harpd links no simulator)"
+echo "==> dependency audit (deps are what their crate names; harpd links no simulator)"
 # Every [dependencies] key of a first-party crate must be named by a
 # non-comment line of that crate's src/ above the file's first
 # #[cfg(test)]; what only tests or doctests use goes under
-# [dev-dependencies]. And the daemon's normal graph stays free of the
-# simulator, the workloads, the harness and the test toolkits.
+# [dev-dependencies]. Every [dev-dependencies] key must be named by some
+# .rs file of its crate (unit, integration and doc tests, benches,
+# examples). And the daemon's normal graph stays free of the simulator,
+# the workloads, the harness and the test toolkits.
+section_keys() {
+    awk -v want="[$1]" '/^\[/ { on = ($0 == want) } on && /^[a-z]/ { sub(/[ .=].*/, ""); print }' "$2"
+}
 unused=""
+unused_dev=""
 for manifest in crates/*/Cargo.toml; do
     dir=$(dirname "$manifest")
     code=$(find "$dir/src" -name '*.rs' -exec awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t && !/^[ \t]*\/\//' {} +)
-    for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]") } on && /^[a-z]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+    for dep in $(section_keys dependencies "$manifest"); do
         grep -qw "${dep//-/_}" <<<"$code" || unused="$unused $dir:$dep"
+    done
+    all=$(find "$dir" -name '*.rs' -exec cat {} +)
+    for dep in $(section_keys dev-dependencies "$manifest"); do
+        grep -qw "${dep//-/_}" <<<"$all" || unused_dev="$unused_dev $dir:$dep"
     done
 done
 if [ -n "$unused" ]; then
     echo "[dependencies] entries no non-test source line names:$unused"
+    exit 1
+fi
+if [ -n "$unused_dev" ]; then
+    echo "[dev-dependencies] entries no .rs file of their crate names:$unused_dev"
     exit 1
 fi
 linked=$(cargo tree -p harp-daemon -e normal |

@@ -1,5 +1,6 @@
 //! Runtime state of simulated applications and threads.
 
+use crate::prepare::completion_after;
 use crate::spec::{AppSpec, PhaseWidth};
 use crate::{Affinity, SimThreadId, SimTime};
 use harp_types::AppId;
@@ -28,6 +29,23 @@ pub(crate) struct ThreadState {
 impl ThreadState {
     pub fn runnable(&self) -> bool {
         self.chunk.is_some()
+    }
+
+    /// When the current chunk completes at the current rate, seen from
+    /// `now` (rounded up to whole nanoseconds, at least one).
+    pub fn completion(&self, now: SimTime) -> Option<SimTime> {
+        let chunk = self.chunk?;
+        if self.rate <= 0.0 {
+            return None;
+        }
+        completion_after(now, chunk / self.rate)
+    }
+
+    /// Whether the current chunk counts as done: less than about a
+    /// nanosecond of work remains.
+    pub fn chunk_done(&self) -> bool {
+        self.chunk
+            .is_some_and(|chunk| chunk <= 0.0 || (self.rate > 0.0 && chunk / self.rate < 1.5e-9))
     }
 }
 
@@ -73,8 +91,9 @@ pub(crate) struct AppInstance {
     /// EnergAt-style attribution reads).
     pub cpu_time: Vec<f64>,
     pub sample: SampleState,
-    /// Synchronization-contention factor of the current active team; also
-    /// each placed thread's busy fraction for the power model.
+    /// Synchronization-contention factor of the current active team (set
+    /// when the iteration starts); also each placed thread's busy fraction
+    /// for the power model.
     pub contention: f64,
     /// Heterogeneous-barrier-imbalance factor (1.0 when the team sits on
     /// one core kind or balances dynamically).

@@ -10,6 +10,8 @@ pub(crate) struct Topology {
     pub core_kind: Vec<usize>,
     /// Physical core index per hardware thread.
     pub thread_core: Vec<usize>,
+    /// Core kind index per hardware thread.
+    pub thread_kind: Vec<usize>,
     /// Hardware-thread ids per physical core.
     pub core_threads: Vec<Vec<usize>>,
     /// Hardware threads per cluster (kind).
@@ -26,6 +28,7 @@ impl Topology {
         let n_threads = hw.total_hw_threads();
         let mut core_kind = Vec::with_capacity(n_cores);
         let mut thread_core = Vec::with_capacity(n_threads);
+        let mut thread_kind = Vec::with_capacity(n_threads);
         let mut core_threads: Vec<Vec<usize>> = Vec::with_capacity(n_cores);
         let mut cluster_thread_count = Vec::with_capacity(hw.num_kinds());
         let mut core_idx = 0usize;
@@ -37,6 +40,7 @@ impl Topology {
                 let mut threads = Vec::with_capacity(c.smt_width);
                 for _ in 0..c.smt_width {
                     thread_core.push(core_idx);
+                    thread_kind.push(k);
                     threads.push(thread_idx);
                     thread_idx += 1;
                 }
@@ -55,17 +59,13 @@ impl Topology {
             hw,
             core_kind,
             thread_core,
+            thread_kind,
             core_threads,
             cluster_thread_count,
             n_threads,
             n_cores,
             max_smt_width,
         }
-    }
-
-    /// Kind index of the hardware thread.
-    pub fn kind_of_hwt(&self, hwt: usize) -> usize {
-        self.core_kind[self.thread_core[hwt]]
     }
 }
 
@@ -104,16 +104,13 @@ impl EnergyAccount {
     }
 }
 
-/// One placed runnable thread's share of its core, in placement order
-/// (core, hardware thread, queue position) — the order per-application
-/// energy and CPU time are accumulated in.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Placed {
-    /// Instance slot of the thread's application.
-    pub slot: usize,
-    /// Core kind the thread runs on.
-    pub kind: usize,
-    /// Active core power attributed to the thread (watts).
+/// What each runnable thread queued on one hardware thread is attributed:
+/// its slice of the core's active power and its share of the hardware
+/// thread's time. Per-application energy and CPU time accumulate queue by
+/// queue in hardware-thread order.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Share {
+    /// Active core power attributed to each queued thread (watts).
     pub power_w: f64,
     /// Threads time-sharing the hardware thread.
     pub sharers: f64,
@@ -137,7 +134,7 @@ mod tests {
         assert_eq!(t.core_threads[0], vec![0, 1]);
         assert_eq!(t.core_threads[8], vec![16]);
         assert_eq!(t.cluster_thread_count, vec![16, 16]);
-        assert_eq!(t.kind_of_hwt(0), 0);
-        assert_eq!(t.kind_of_hwt(31), 1);
+        assert_eq!(t.thread_kind[0], 0);
+        assert_eq!(t.thread_kind[31], 1);
     }
 }

@@ -1,14 +1,16 @@
 //! Counted work of the event loop, not wall time: one simulator event
 //! costs a constant number of passes over the *live* threads — however
-//! many instances ran before — and a steady-state event never touches the
-//! allocator.
+//! many instances ran before — a steady-state event never touches the
+//! allocator, and placement searches only for threads that did not run
+//! under the same masks before.
 //!
 //! The allocation counter is a thread-local tally fed by a wrapper global
 //! allocator, so concurrent test threads cannot pollute the measurement.
 
 use harp_platform::presets;
 use harp_sim::{
-    AppSpec, LaunchOpts, Manager, MgrEvent, NullManager, SimConfig, SimState, Simulation, SECOND,
+    AppSpec, LaunchOpts, Manager, MgrEvent, NullManager, PhaseWidth, SimConfig, SimState,
+    Simulation, SECOND,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -40,11 +42,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Passes over the live threads one event may make: placement 3 (runnable
-/// set, per-app lists, placing), rates 4 (per-instance factors, raw,
-/// bandwidth demand, final), power 2 (busy fraction, shares), next-event
-/// scan 1, integration 2 (progress, attribution), completion scan 1.
-const PASSES_PER_EVENT: u64 = 13;
+/// Passes over the live threads one event may make: placement 2 (runnable
+/// set with the per-app lists; placing, which also sums each hardware
+/// thread's busy fraction), rates 3 (per-instance straggler factors; raw
+/// rate with bandwidth demand; final rate with the earliest completion),
+/// next-event rescan 1 (only after a step that did not re-place, or a
+/// dynamic chunk re-split), integration 2 (progress with completion
+/// detection; attribution). Power walks cores, not threads.
+const PASSES_PER_EVENT: u64 = 8;
 
 /// Samples the engine's work counters at every instance exit.
 #[derive(Default)]
@@ -56,13 +61,13 @@ struct ExitProbe {
 impl Manager for ExitProbe {
     fn on_event(&mut self, st: &mut SimState, ev: MgrEvent) {
         if let MgrEvent::AppExited { .. } = ev {
-            let (events, visits) = st.work_counters();
+            let work = st.work_counters();
             let live = st
                 .app_ids()
                 .iter()
                 .map(|&a| st.threads_of_app(a).len() as u64)
                 .sum();
-            self.samples.push((events, visits, live));
+            self.samples.push((work.events, work.thread_visits, live));
         }
     }
 }
@@ -144,5 +149,54 @@ fn steady_state_events_do_not_allocate() {
         "{} extra events made {} extra allocator calls",
         long_events - short_events,
         long_allocs.abs_diff(short_allocs)
+    );
+}
+
+#[test]
+fn cfs_placement_searches_only_newly_runnable_threads() {
+    // Three unmanaged 32-worker teams on the 32 hardware threads of the
+    // Intel machine: every worker may run anywhere, and every event is a
+    // chunk completion that re-places all of them.
+    let hw = presets::raptor_lake();
+    let n_threads = hw.total_hw_threads() as u64;
+    let mut sim = Simulation::new(hw, SimConfig::default());
+    let mut made_runnable = 0;
+    for (name, iterations, e_core, mem) in
+        [("a", 12, 0.6, 0.1), ("b", 9, 0.8, 0.4), ("c", 15, 0.7, 0.0)]
+    {
+        let spec = AppSpec::builder(name, 2)
+            .total_work(2.0e9)
+            .iterations(iterations)
+            .kind_efficiency(vec![1.0, e_core])
+            .mem_intensity(mem)
+            .build()
+            .unwrap();
+        // Every iteration start makes the phase's whole width runnable: the
+        // serial phase's master, then the team of one worker per thread.
+        for phase in &spec.phases {
+            let width = if phase.width == PhaseWidth::Serial {
+                1
+            } else {
+                n_threads
+            };
+            made_runnable += u64::from(phase.iterations) * width;
+        }
+        sim.add_arrival(0, spec, LaunchOpts::all_hw_threads());
+    }
+    let report = sim.run(&mut NullManager).unwrap();
+    assert_eq!(report.apps.len(), 3);
+    let work = sim.state().work_counters();
+    assert!(
+        work.searches <= made_runnable,
+        "{} searches for {made_runnable} threads made runnable by iteration starts",
+        work.searches
+    );
+    // A placement from scratch would search every one of these positions.
+    assert!(
+        work.replayed > 10 * work.searches,
+        "{} positions replayed, {} searched over {} events",
+        work.replayed,
+        work.searches,
+        work.events
     );
 }
