@@ -9,8 +9,8 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> dependency audit (deps are what their crate names; harpd links no simulator)"
 # Every [dependencies] key of a first-party crate must be named by a
@@ -18,8 +18,10 @@ echo "==> dependency audit (deps are what their crate names; harpd links no simu
 # #[cfg(test)]; what only tests or doctests use goes under
 # [dev-dependencies]. Every [dev-dependencies] key must be named by some
 # .rs file of its crate (unit, integration and doc tests, benches,
-# examples). And the daemon's normal graph stays free of the simulator,
-# the workloads, the harness and the test toolkits.
+# examples). The daemon's normal graph stays free of the simulator, the
+# workloads, the harness and the test toolkits. No graph links serde (the
+# two description files go through harp_obs::json), and no source names
+# the deleted profile-cache or worker-pool knobs.
 section_keys() {
     awk -v want="[$1]" '/^\[/ { on = ($0 == want) } on && /^[a-z]/ { sub(/[ .=].*/, ""); print }' "$2"
 }
@@ -48,6 +50,16 @@ linked=$(cargo tree -p harp-daemon -e normal |
     grep -oE 'harp-(sim|workload|bench|testkit)|proptest' | sort -u || true)
 if [ -n "$linked" ]; then
     echo "harp-daemon's normal dependency graph links:" $linked
+    exit 1
+fi
+serde=$(cargo tree --workspace -e normal,dev --prefix none | grep -oE '^serde[a-z_]*' | sort -u || true)
+if [ -n "$serde" ]; then
+    echo "the workspace dependency graph links:" $serde
+    exit 1
+fi
+knobs=$(grep -rlE --include='*.rs' 'HARP_(PROFILE_CACHE|BENCH_THREADS)' crates compat src tests examples || true)
+if [ -n "$knobs" ]; then
+    echo "deleted harness knobs named in:" $knobs
     exit 1
 fi
 
@@ -81,8 +93,8 @@ echo "==> cargo test -q --workspace (every crate's unit, integration and doc tes
 # conservation under a live telemetry stream (section 14), the solver's
 # engine-vs-reference and warm-vs-cold counted-work properties (section 7),
 # the simulator's counted event cost (section 4), and every harness
-# binary's --reduced stdout against crates/bench/golden/ with a cold
-# profile cache (section 6; same HARP_TRACE_BLESS=1 to regenerate).
+# binary's --reduced stdout against crates/bench/golden/ (section 6; same
+# HARP_TRACE_BLESS=1 to regenerate).
 cargo test -q --workspace
 
 echo "==> benchmark harness gate (wire == mirror directives, untraced and traced)"

@@ -116,6 +116,10 @@ fn check_cold_matches_reference(
 /// What one warm tick produced, down to the float bits (`None` = error).
 type TickKey = Option<(Vec<usize>, u64, u64, SolveOutcome)>;
 
+/// A warm sequence's per-tick results and its final `(memo hits,
+/// certified exits, full solves)` counters.
+type WarmRun = (Vec<TickKey>, (u64, u64, u64));
+
 /// Threads one fresh [`WarmStart`] through `ticks` and requires every warm
 /// answer to be feasible and no costlier than a cold solve of the same
 /// instance. A certified warm answer is within 1e-9·scale of optimal, so
@@ -126,7 +130,7 @@ fn check_warm_tracks_cold(
     ticks: &[Vec<AllocRequest>],
     capacity: &ResourceVector,
     uncertified_slack: f64,
-) -> Result<(Vec<TickKey>, (u64, u64, u64)), TestCaseError> {
+) -> Result<WarmRun, TestCaseError> {
     let mut warm = WarmStart::new();
     let mut keys = Vec::with_capacity(ticks.len());
     for (t, tick_reqs) in ticks.iter().enumerate() {

@@ -1,7 +1,6 @@
 //! Regenerates Figure 6: improvement factors over CFS on Raptor Lake.
 use harp_bench::fig6::{run, Fig6Options};
 fn main() {
-    harp_bench::cache::set_spill_dir(harp_bench::cache::default_spill());
     let reduced = std::env::args().any(|a| a == "--reduced");
     let opts = if reduced {
         Fig6Options::reduced()

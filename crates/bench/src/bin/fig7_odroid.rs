@@ -1,7 +1,6 @@
 //! Regenerates Figure 7: HARP (Offline) vs EAS on the Odroid XU3-E.
 use harp_bench::fig7::{run, Fig7Options};
 fn main() {
-    harp_bench::cache::set_spill_dir(harp_bench::cache::default_spill());
     let reduced = std::env::args().any(|a| a == "--reduced");
     let opts = if reduced {
         Fig7Options::reduced()

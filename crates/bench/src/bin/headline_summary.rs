@@ -3,7 +3,6 @@
 use harp_bench::tables::headline;
 use harp_bench::{fig6, fig7};
 fn main() {
-    harp_bench::cache::set_spill_dir(harp_bench::cache::default_spill());
     let reduced = std::env::args().any(|a| a == "--reduced");
     let (o6, o7) = if reduced {
         (fig6::Fig6Options::reduced(), fig7::Fig7Options::reduced())

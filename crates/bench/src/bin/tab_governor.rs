@@ -1,7 +1,6 @@
 //! Regenerates the §6.3.3 frequency-governor study.
 use harp_bench::tables::{governor_table, GovernorOptions};
 fn main() {
-    harp_bench::cache::set_spill_dir(harp_bench::cache::default_spill());
     let reduced = std::env::args().any(|a| a == "--reduced");
     let opts = if reduced {
         GovernorOptions::reduced()

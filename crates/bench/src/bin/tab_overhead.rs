@@ -2,7 +2,6 @@
 use harp_bench::tables::overhead_table;
 use harp_workload::scenarios;
 fn main() {
-    harp_bench::cache::set_spill_dir(harp_bench::cache::default_spill());
     let reduced = std::env::args().any(|a| a == "--reduced");
     let (singles, multis) = if reduced {
         (

@@ -140,10 +140,8 @@ pub fn sweep_grid(platform: Platform) -> Vec<ExtResourceVector> {
 }
 
 /// Sweeps an application over the platform grid, producing its offline
-/// operating-point table and the raw sweep data. Grid points are
-/// independent simulations, so they are measured on the worker pool
-/// ([`crate::jobs::parallel_map`]); results come back in grid order with
-/// per-point seeds, identical to a serial sweep.
+/// operating-point table and the raw sweep data. Grid point `i` is
+/// measured with seed `seed + i`, in grid order.
 ///
 /// # Errors
 ///
@@ -154,16 +152,11 @@ pub fn sweep_app(
     horizon_s: f64,
     seed: u64,
 ) -> Result<Vec<SweepPoint>> {
-    let grid: Vec<(u64, ExtResourceVector)> = sweep_grid(platform)
-        .into_iter()
+    sweep_grid(platform)
+        .iter()
         .enumerate()
-        .map(|(i, e)| (i as u64, e))
-        .collect();
-    crate::jobs::parallel_map(&grid, |(i, erv)| {
-        measure_config(platform, spec, erv, horizon_s, seed.wrapping_add(*i))
-    })
-    .into_iter()
-    .collect()
+        .map(|(i, erv)| measure_config(platform, spec, erv, horizon_s, seed.wrapping_add(i as u64)))
+        .collect()
 }
 
 /// Distils a sweep into the application's offline operating-point table
@@ -187,10 +180,8 @@ pub fn sweep_table(
 }
 
 /// Builds the offline profile store for a set of applications (the
-/// description files of *HARP (Offline)*). Each application's table comes
-/// from the shared profile cache ([`crate::cache`]), so repeated requests
-/// — within one binary or, with spilling enabled, across binaries — cost
-/// one sweep total.
+/// description files of *HARP (Offline)*): one [`sweep_table`] per
+/// distinct application name, with DSE seed 17.
 ///
 /// # Errors
 ///
@@ -205,7 +196,7 @@ pub fn offline_profiles(
         if out.contains_key(&spec.name) {
             continue;
         }
-        let table = crate::cache::offline_table(platform, spec, horizon_s, 17)?;
+        let table = sweep_table(platform, spec, horizon_s, 17)?;
         out.insert(spec.name.clone(), table);
     }
     Ok(out)

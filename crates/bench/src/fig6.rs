@@ -4,8 +4,10 @@
 //! with geometric means per group.
 
 use crate::dse::offline_profiles;
-use crate::jobs::{fold_repetitions, parallel_map, repetition_jobs, run_jobs};
-use crate::runner::{improvement, Improvement, ManagerKind, ProfileStore, RunOptions};
+use crate::runner::{
+    fold_repetitions, improvement, learn_profiles, repetition_jobs, run_jobs, Improvement,
+    ManagerKind, ProfileStore, RunOptions,
+};
 use harp_model::metrics::geometric_mean;
 use harp_sim::SECOND;
 use harp_types::Result;
@@ -76,12 +78,10 @@ const VARIANTS: [ManagerKind; 4] = [
 
 /// Runs the full experiment, returning one row per scenario.
 ///
-/// Three waves, each saturating the worker pool: the shared offline DSE
-/// (one internally-parallel sweep per distinct application, via the
-/// profile cache), the per-scenario warm-up learning runs, and finally one
-/// flat job set with every (scenario, manager, repetition) cell. Results
-/// are folded in enumeration order, so the rows are bit-identical to the
-/// serial path.
+/// Three phases: the shared offline DSE (one sweep per distinct
+/// application), the per-scenario warm-up learning runs, and finally one
+/// flat job set with every (scenario, manager, repetition) cell, folded in
+/// enumeration order.
 ///
 /// # Errors
 ///
@@ -103,22 +103,20 @@ pub fn run_rows(opts: &Fig6Options) -> Result<Vec<ScenarioRow>> {
         .chain(opts.multis.iter().map(|s| (s, true)))
         .collect();
 
-    // Warm-up learning wave: one independent run per scenario, shared
-    // through the profile cache with any other consumer of the same
-    // (scenario, warm-up, seed) table.
-    let learned: Vec<ProfileStore> = parallel_map(&scens, |(scenario, _)| {
-        crate::cache::learned_profiles(Platform::RaptorLake, scenario, opts.warmup_s * SECOND, 23)
-    })
-    .into_iter()
-    .collect::<Result<_>>()?;
+    // Warm-up learning: one independent run per scenario.
+    let learned: Vec<ProfileStore> = scens
+        .iter()
+        .map(|(scenario, _)| {
+            learn_profiles(Platform::RaptorLake, scenario, opts.warmup_s * SECOND, 23)
+        })
+        .collect::<Result<_>>()?;
 
-    // Flat measurement wave: per scenario, the CFS baseline group then
+    // Flat measurement set: per scenario, the CFS baseline group then
     // each variant's group, every repetition its own job.
     let base_opts = RunOptions::default();
     let mut jobs = Vec::new();
     for ((scenario, _), learned) in scens.iter().zip(&learned) {
         jobs.extend(repetition_jobs(
-            "fig6",
             Platform::RaptorLake,
             scenario,
             ManagerKind::Cfs,
@@ -133,7 +131,6 @@ pub fn run_rows(opts: &Fig6Options) -> Result<Vec<ScenarioRow>> {
                 _ => None,
             };
             jobs.extend(repetition_jobs(
-                "fig6",
                 Platform::RaptorLake,
                 scenario,
                 kind,
@@ -144,7 +141,7 @@ pub fn run_rows(opts: &Fig6Options) -> Result<Vec<ScenarioRow>> {
     }
     let metrics = run_jobs(&jobs)?;
 
-    // Deterministic reassembly: groups come back in enumeration order.
+    // Groups come back in enumeration order.
     let reps = opts.reps.max(1) as usize;
     let mut groups = metrics.chunks(reps);
     let mut rows = Vec::new();

@@ -6,8 +6,9 @@
 //! from a design-space-exploration sweep, and EAS is the baseline.
 
 use crate::dse::offline_profiles;
-use crate::jobs::{fold_repetitions, repetition_jobs, run_jobs};
-use crate::runner::{improvement, Improvement, ManagerKind, RunOptions};
+use crate::runner::{
+    fold_repetitions, improvement, repetition_jobs, run_jobs, Improvement, ManagerKind, RunOptions,
+};
 use harp_model::metrics::geometric_mean;
 use harp_types::Result;
 use harp_workload::{scenarios, Platform, Scenario};
@@ -87,8 +88,7 @@ pub fn run_rows(opts: &Fig7Options) -> Result<Vec<ScenarioRow>> {
         .collect();
 
     // One flat job set — per scenario the EAS baseline group then the
-    // HARP (Offline) group — executed on the worker pool and folded in
-    // enumeration order (bit-identical to the serial path).
+    // HARP (Offline) group — folded in enumeration order.
     let base_opts = RunOptions {
         governor: harp_platform::Governor::Schedutil,
         ..RunOptions::default()
@@ -98,7 +98,6 @@ pub fn run_rows(opts: &Fig7Options) -> Result<Vec<ScenarioRow>> {
     let mut jobs = Vec::new();
     for (scenario, _) in &scens {
         jobs.extend(repetition_jobs(
-            "fig7",
             Platform::Odroid,
             scenario,
             ManagerKind::Eas,
@@ -106,7 +105,6 @@ pub fn run_rows(opts: &Fig7Options) -> Result<Vec<ScenarioRow>> {
             opts.reps,
         ));
         jobs.extend(repetition_jobs(
-            "fig7",
             Platform::Odroid,
             scenario,
             ManagerKind::HarpOffline,

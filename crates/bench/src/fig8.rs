@@ -204,20 +204,16 @@ pub fn study_scenario(scenario: &Scenario, multi: bool, opts: &Fig8Options) -> R
     })
 }
 
-/// Runs all scenarios of the study. Each scenario's learning run and
-/// snapshot evaluations are independent of the others, so scenarios run on
-/// the worker pool; rows come back in scenario order, identical to the
-/// serial path.
+/// Runs all scenarios of the study, in scenario order.
 ///
 /// # Errors
 ///
 /// Propagates simulation errors.
 pub fn run_rows(opts: &Fig8Options) -> Result<Vec<Fig8Row>> {
-    crate::jobs::parallel_map(&opts.scenarios, |(scenario, multi)| {
-        study_scenario(scenario, *multi, opts)
-    })
-    .into_iter()
-    .collect()
+    opts.scenarios
+        .iter()
+        .map(|(scenario, multi)| study_scenario(scenario, *multi, opts))
+        .collect()
 }
 
 /// Mean ± std of time-to-stable for a group.

@@ -15,13 +15,12 @@
 //! | ablations | solver / exploration / EMA design choices (DESIGN.md §3) | — | `tab_ablations` |
 //!
 //! The shared machinery lives in [`runner`] (scenario execution under any
-//! manager, improvement factors), [`dse`] (offline design-space
-//! exploration producing operating-point profiles), [`jobs`] (the
-//! evaluation-cell worker pool: every figure enumerates its cells as
-//! [`jobs::Job`]s and executes them in parallel with deterministic,
-//! bit-identical reassembly — pool size via `HARP_BENCH_THREADS`), and
-//! [`cache`] (the content-addressed profile cache sharing DSE sweeps and
-//! warm-up learning runs across experiments and, optionally, processes).
+//! manager, improvement factors, and the evaluation cells: every figure
+//! enumerates its cells as [`runner::Job`]s, runs them in order and folds
+//! each repetition group left to right) and [`dse`] (offline design-space
+//! exploration producing operating-point profiles). Every binary runs
+//! serially and recomputes what it needs; its stdout depends only on the
+//! fixed seeds.
 //!
 //! Absolute numbers depend on the calibrated simulator, not the authors'
 //! testbed; the harness asserts and reports the *shape* of every result
@@ -32,14 +31,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod dse;
 pub mod fig1;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod jobs;
 pub mod runner;
 pub mod tables;
 

@@ -1,4 +1,11 @@
-//! Scenario execution under each evaluated resource manager.
+//! Scenario execution under each evaluated resource manager, and the
+//! evaluation cells ([`Job`]s) every figure is built from.
+//!
+//! Each figure enumerates its cells — one (scenario, manager, repetition)
+//! simulation with a fully resolved seed — runs them in enumeration order
+//! ([`run_jobs`]) and folds each repetition group left to right
+//! ([`fold_repetitions`]). Everything is serial and recomputed per
+//! process: a run's output depends only on its seeds.
 
 use harp_platform::Governor;
 use harp_sched::{CfsManager, EasManager, HarpManagerConfig, HarpSimManager, ItdManager};
@@ -164,6 +171,81 @@ pub fn run_scenario(
     Ok(RunMetrics::from_report(&report))
 }
 
+/// One evaluation cell: a single simulation run with a fully resolved seed.
+#[derive(Debug, Clone)]
+pub struct Job {
+    /// Target platform.
+    pub platform: Platform,
+    /// The workload scenario.
+    pub scenario: Scenario,
+    /// The resource manager under test.
+    pub manager: ManagerKind,
+    /// Fully resolved RNG seed of this repetition (already combined with
+    /// the repetition index; overrides `opts.seed`).
+    pub seed: u64,
+    /// Governor, profiles and horizon for this cell.
+    pub opts: RunOptions,
+}
+
+impl Job {
+    /// Executes the cell.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation errors.
+    pub fn run(&self) -> Result<RunMetrics> {
+        let mut opts = self.opts.clone();
+        opts.seed = self.seed;
+        run_scenario(self.platform, &self.scenario, self.manager, &opts)
+    }
+}
+
+/// Enumerates the repetition jobs of one cell (the paper averages ten
+/// repetitions): repetition `r` uses seed `opts.seed + r * 7919`
+/// (wrapping).
+pub fn repetition_jobs(
+    platform: Platform,
+    scenario: &Scenario,
+    manager: ManagerKind,
+    opts: &RunOptions,
+    reps: u32,
+) -> Vec<Job> {
+    (0..reps.max(1))
+        .map(|rep| Job {
+            platform,
+            scenario: scenario.clone(),
+            manager,
+            seed: opts.seed.wrapping_add(rep as u64 * 7919),
+            opts: opts.clone(),
+        })
+        .collect()
+}
+
+/// Runs a job set in order, returning metrics in job order.
+///
+/// # Errors
+///
+/// Returns the error of the first failing job.
+pub fn run_jobs(jobs: &[Job]) -> Result<Vec<RunMetrics>> {
+    jobs.iter().map(Job::run).collect()
+}
+
+/// Averages the metrics of one repetition group in repetition order (one
+/// fixed left-to-right summation).
+pub fn fold_repetitions(metrics: &[RunMetrics]) -> RunMetrics {
+    let mut time = 0.0;
+    let mut energy = 0.0;
+    for m in metrics {
+        time += m.makespan_s;
+        energy += m.energy_j;
+    }
+    let n = metrics.len().max(1) as f64;
+    RunMetrics {
+        makespan_s: time / n,
+        energy_j: energy / n,
+    }
+}
+
 /// Learns operating points for a scenario by running it online with
 /// restarts for `warmup` simulated time, then returns the learned profiles
 /// — how the Fig. 6 "HARP" bars obtain their *stable* operating points
@@ -234,6 +316,35 @@ mod tests {
         .unwrap();
         assert!(m.makespan_s > 0.5 && m.makespan_s < 10.0);
         assert!(m.energy_j > 0.0);
+    }
+
+    #[test]
+    fn repetition_jobs_step_the_seed_by_7919() {
+        let sc = Scenario::of(Platform::RaptorLake, &["ep"]);
+        let opts = RunOptions {
+            seed: 42,
+            ..RunOptions::default()
+        };
+        let jobs = repetition_jobs(Platform::RaptorLake, &sc, ManagerKind::Cfs, &opts, 3);
+        let seeds: Vec<u64> = jobs.iter().map(|j| j.seed).collect();
+        assert_eq!(seeds, vec![42, 42 + 7919, 42 + 2 * 7919]);
+    }
+
+    #[test]
+    fn fold_matches_manual_average() {
+        let ms = [
+            RunMetrics {
+                makespan_s: 1.0,
+                energy_j: 10.0,
+            },
+            RunMetrics {
+                makespan_s: 3.0,
+                energy_j: 30.0,
+            },
+        ];
+        let m = fold_repetitions(&ms);
+        assert_eq!(m.makespan_s, 2.0);
+        assert_eq!(m.energy_j, 20.0);
     }
 
     #[test]

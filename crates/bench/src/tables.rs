@@ -3,8 +3,10 @@
 //! (§5.1), and the headline summary of the abstract.
 
 use crate::dse::offline_profiles;
-use crate::jobs::{fold_repetitions, parallel_map, repetition_jobs, run_jobs};
-use crate::runner::{improvement, run_with_manager, ManagerKind, ProfileStore, RunOptions};
+use crate::runner::{
+    fold_repetitions, improvement, learn_profiles, repetition_jobs, run_jobs, run_with_manager,
+    ManagerKind, ProfileStore, RunOptions,
+};
 use crate::{fig6, fig7};
 use harp_energy::EnergyAttributor;
 use harp_model::metrics::geometric_mean;
@@ -87,13 +89,13 @@ pub fn governor_cells(opts: &GovernorOptions) -> Result<Vec<GovernorCell>> {
     }
     let offline = offline_profiles(Platform::RaptorLake, &all_apps, opts.dse_horizon_s)?;
 
-    // Warm-up learning wave for the online variant (one run per scenario,
-    // shared via the profile cache across both governors).
-    let learned: Vec<ProfileStore> = parallel_map(&opts.scenarios, |scenario| {
-        crate::cache::learned_profiles(Platform::RaptorLake, scenario, opts.warmup_s * SECOND, 29)
-    })
-    .into_iter()
-    .collect::<Result<_>>()?;
+    // Warm-up learning for the online variant (one run per scenario, used
+    // under both governors).
+    let learned: Vec<ProfileStore> = opts
+        .scenarios
+        .iter()
+        .map(|scenario| learn_profiles(Platform::RaptorLake, scenario, opts.warmup_s * SECOND, 29))
+        .collect::<Result<_>>()?;
 
     const VARIANTS: [ManagerKind; 2] = [ManagerKind::Harp, ManagerKind::HarpOffline];
 
@@ -107,7 +109,6 @@ pub fn governor_cells(opts: &GovernorOptions) -> Result<Vec<GovernorCell>> {
         };
         for scenario in &opts.scenarios {
             jobs.extend(repetition_jobs(
-                "tab_governor",
                 Platform::RaptorLake,
                 scenario,
                 ManagerKind::Cfs,
@@ -123,7 +124,6 @@ pub fn governor_cells(opts: &GovernorOptions) -> Result<Vec<GovernorCell>> {
                     _ => learned.clone(),
                 });
                 jobs.extend(repetition_jobs(
-                    "tab_governor",
                     Platform::RaptorLake,
                     scenario,
                     variant,
@@ -217,14 +217,7 @@ pub fn overhead(singles: &[Scenario], multis: &[Scenario], reps: u32) -> Result<
     let mut jobs = Vec::new();
     for s in singles.iter().chain(multis) {
         for kind in [ManagerKind::Cfs, ManagerKind::HarpOverheadOnly] {
-            jobs.extend(repetition_jobs(
-                "tab_overhead",
-                Platform::RaptorLake,
-                s,
-                kind,
-                &opts,
-                reps,
-            ));
+            jobs.extend(repetition_jobs(Platform::RaptorLake, s, kind, &opts, reps));
         }
     }
     let metrics = run_jobs(&jobs)?;

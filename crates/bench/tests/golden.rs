@@ -1,9 +1,9 @@
 //! Every refactor leaves the `fig*`/`tab*` `--reduced` stdout
-//! byte-identical: each harness binary runs with a cold profile cache
-//! (`HARP_PROFILE_CACHE=0`) and its stdout is compared with the committed
-//! file under `crates/bench/golden/`. The goldens were produced by the
-//! engine as it stood before the dense-slot simulator rewrite; regenerate
-//! them deliberately with `HARP_TRACE_BLESS=1` and diff before committing.
+//! byte-identical: each harness binary runs and its stdout is compared
+//! with the committed file under `crates/bench/golden/`. The goldens were
+//! produced by the engine as it stood before the dense-slot simulator
+//! rewrite; regenerate them deliberately with `HARP_TRACE_BLESS=1` and
+//! diff before committing.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -11,7 +11,6 @@ use std::process::Command;
 fn check(name: &str, exe: &str) {
     let out = Command::new(exe)
         .arg("--reduced")
-        .env("HARP_PROFILE_CACHE", "0")
         .output()
         .unwrap_or_else(|e| panic!("spawn {exe}: {e}"));
     assert!(

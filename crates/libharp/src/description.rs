@@ -5,12 +5,12 @@
 //! `/etc/harp`. libharp parses the file at startup and submits the points
 //! during registration.
 
+use harp_obs::json::{self, Json};
 use harp_types::{ErvShape, ExtResourceVector, HarpError, NonFunctional, OperatingPoint, Result};
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// The on-disk description of one application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppDescription {
     /// Application name (matches the registration name).
     pub name: String,
@@ -21,7 +21,7 @@ pub struct AppDescription {
 }
 
 /// One operating point of a description file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DescribedPoint {
     /// Flattened extended resource vector.
     pub erv: Vec<u32>,
@@ -76,20 +76,51 @@ impl AppDescription {
 
     /// Serializes to pretty JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("description serializes")
+        let points = self.points.iter().map(|p| {
+            Json::obj([
+                ("erv", p.erv.iter().copied().collect()),
+                ("utility", p.utility.into()),
+                ("power", p.power.into()),
+            ])
+        });
+        Json::obj([
+            ("name", self.name.as_str().into()),
+            ("smt_widths", self.smt_widths.iter().copied().collect()),
+            ("points", points.collect()),
+        ])
+        .to_pretty()
     }
 
-    /// Parses from JSON and validates.
+    /// Parses from JSON and validates. Every field is required and unknown
+    /// keys are ignored; counts (`smt_widths`, `erv`) must be non-negative
+    /// whole numbers in range, where `8.0` reads as 8.
     ///
     /// # Errors
     ///
     /// Returns [`HarpError::Description`] on malformed input.
     pub fn from_json(json: &str) -> Result<Self> {
-        let d: AppDescription = serde_json::from_str(json).map_err(|e| HarpError::Description {
-            detail: format!("malformed application description: {e}"),
-        })?;
+        let d = json::parse(json)
+            .and_then(|doc| Self::decode(&doc))
+            .map_err(|e| HarpError::Description {
+                detail: format!("malformed application description: {e}"),
+            })?;
         d.to_points()?; // validate
         Ok(d)
+    }
+
+    fn decode(doc: &Json) -> std::result::Result<Self, String> {
+        let points = doc.arr_field("points")?.iter().map(|p| {
+            Ok(DescribedPoint {
+                erv: p.counts_field("erv")?,
+                utility: p.f64_field("utility")?,
+                power: p.f64_field("power")?,
+            })
+        });
+        Ok(AppDescription {
+            name: doc.str_field("name")?.to_string(),
+            smt_widths: doc.counts_field("smt_widths")?,
+            points: points.collect::<std::result::Result<_, String>>()?,
+        })
     }
 
     /// Loads a description file.
@@ -159,7 +190,7 @@ mod tests {
         assert!(d.to_points().is_err());
         let mut d = sample();
         d.points[0].utility = f64::NAN;
-        assert!(AppDescription::from_json(&serde_json::to_string(&d).unwrap()).is_err());
+        assert!(AppDescription::from_json(&d.to_json()).is_err());
         let mut d = sample();
         d.points[0].power = -1.0;
         assert!(d.to_points().is_err());

@@ -12,6 +12,8 @@ use harp_types::HarpError;
 use libharp::description::{AppDescription, DescribedPoint};
 
 const MG: &str = include_str!("data/mg.json");
+/// The opening of the first point's `erv` array in `mg.json`.
+const FIRST_ERV: &str = "\"erv\": [\n        0,";
 
 /// Every number of a description as raw bits, in field order.
 fn bits(d: &AppDescription) -> Vec<u64> {
@@ -63,9 +65,16 @@ fn edited(from: &str, to: &str) -> String {
     MG.replacen(from, to, 1)
 }
 
-fn assert_rejected(json: &str, class: &str) {
+/// Decoding fails with a [`HarpError::Description`] whose detail names
+/// `reason`.
+fn assert_rejected(json: &str, class: &str, reason: &str) {
     match AppDescription::from_json(json) {
-        Err(HarpError::Description { .. }) => {}
+        Err(HarpError::Description { detail }) => {
+            assert!(
+                detail.contains(reason),
+                "{class}: {detail:?} lacks {reason:?}"
+            )
+        }
         other => panic!("{class}: expected a Description error, got {other:?}"),
     }
 }
@@ -73,31 +82,60 @@ fn assert_rejected(json: &str, class: &str) {
 #[test]
 fn malformed_files_are_rejected() {
     let first_power = "\"power\": 30.29999999999998";
+    let count = "field `erv`: expected a non-negative integer that fits u32";
     let cases = [
         (
             "missing field",
             edited(&format!(",\n      {first_power}"), ""),
+            "missing field `power`",
         ),
-        ("wrong type", edited("\"name\": \"mg\"", "\"name\": 7")),
+        (
+            "wrong type",
+            edited("\"name\": \"mg\"", "\"name\": 7"),
+            "field `name`: expected a string",
+        ),
         (
             "negative integer",
-            edited("\"erv\": [\n        0,", "\"erv\": [\n        -1,"),
+            edited(FIRST_ERV, "\"erv\": [\n        -1,"),
+            count,
         ),
         (
             "fractional integer",
-            edited("\"erv\": [\n        0,", "\"erv\": [\n        0.5,"),
+            edited(FIRST_ERV, "\"erv\": [\n        0.5,"),
+            count,
         ),
         (
             "out-of-range integer",
-            edited("\"erv\": [\n        0,", "\"erv\": [\n        4294967296,"),
+            edited(FIRST_ERV, "\"erv\": [\n        4294967296,"),
+            count,
         ),
-        ("null float", edited(first_power, "\"power\": null")),
-        ("trailing data", format!("{MG}\n[]")),
-        ("truncated", MG[..MG.len() / 2].to_string()),
+        (
+            "null float",
+            edited(first_power, "\"power\": null"),
+            "field `power`: expected a number",
+        ),
+        ("trailing data", format!("{MG}\n[]"), "trailing data"),
+        (
+            "truncated",
+            MG[..MG.len() / 2].to_string(),
+            "malformed application description",
+        ),
     ];
-    for (class, json) in &cases {
-        assert_rejected(json, class);
+    for (class, json, reason) in &cases {
+        assert_rejected(json, class, reason);
     }
+}
+
+/// JSON does not tell `8` from `8.0`: a count written as an integral
+/// float reads as that count.
+#[test]
+fn integral_float_counts_are_accepted() {
+    let json = edited(FIRST_ERV, "\"erv\": [\n        0.0,");
+    let d = AppDescription::from_json(&json).expect("0.0 reads as 0");
+    assert_same(&d, &AppDescription::from_json(MG).expect("mg.json"));
+    let widths = edited("\"smt_widths\": [\n    2,", "\"smt_widths\": [\n    2.0,");
+    let d = AppDescription::from_json(&widths).expect("2.0 reads as 2");
+    assert_eq!(d.smt_widths, vec![2, 1]);
 }
 
 #[test]

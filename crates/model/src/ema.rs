@@ -1,8 +1,6 @@
 //! Exponential moving average used to smooth measured utility and power
 //! (paper §5.1: smoothing factor 0.1).
 
-use serde::{Deserialize, Serialize};
-
 /// An exponential moving average: `s ← α·x + (1−α)·s`.
 ///
 /// The paper applies α = 0.1 to utility and power measurements, which
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let s = ema.update(20.0);
 /// assert!((s - 11.0).abs() < 1e-12); // 0.1·20 + 0.9·10
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ema {
     alpha: f64,
     value: Option<f64>,

@@ -203,7 +203,6 @@ mod tests {
 
     #[test]
     fn window_fold_matches_endpoint_delta() {
-        let mut s = IntervalSeries::new(8);
         let base = snap(&[("c.a", 5), ("c.b", 100)]);
         let mut series = IntervalSeries::with_base(8, base.clone());
         let mid = snap(&[("c.a", 9), ("c.b", 140)]);
@@ -215,7 +214,7 @@ mod tests {
         assert_eq!(window.counters, direct.counters);
 
         // A zero-capacity request still retains one interval.
-        s = IntervalSeries::new(0);
+        let mut s = IntervalSeries::new(0);
         assert_eq!(s.capacity(), 1);
         s.sample_from(snap(&[("c.a", 1)]));
         assert!(!s.is_empty());

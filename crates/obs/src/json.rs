@@ -1,12 +1,15 @@
-//! Minimal JSON parser for telemetry dumps.
+//! The workspace's one JSON reader and writer.
 //!
-//! The obs crate emits JSONL with its own encoder ([`crate::event`]) and
-//! must also *read* dumps (schema validation, `harp-trace` rendering)
-//! without depending on any other crate — including the workspace compat
-//! crates, which would invert the dependency graph. This is a small
-//! recursive-descent parser over the subset of JSON the dumps use; it
-//! accepts all of standard JSON except `\uXXXX` surrogate pairs beyond
-//! the BMP are passed through unvalidated.
+//! It reads telemetry dumps (schema validation, `harp-trace` rendering)
+//! and reads and writes the two description files the RM takes from disk
+//! (`harp_platform::HardwareDescription`, `libharp`'s `AppDescription`),
+//! whose decoders are written by hand over [`Json`] with the typed
+//! accessors below. The crate has no dependencies, so every layer can use
+//! it. The parser is a small recursive descent over standard JSON, except
+//! that `\uXXXX` surrogate pairs beyond the BMP are passed through
+//! unvalidated.
+
+use crate::event::{escape_json_into, push_f64};
 
 /// A parsed JSON value. Numbers are kept as `f64`; all integers emitted
 /// by the dump format fit in 53 bits.
@@ -73,6 +76,159 @@ impl Json {
             Json::Obj(m) => Some(m),
             _ => None,
         }
+    }
+
+    /// Object member `key`; the error names what is missing. Unknown
+    /// members are never an error: decoders read the keys they know.
+    pub fn field(&self, key: &str) -> Result<&Json, String> {
+        match self {
+            Json::Obj(_) => self
+                .get(key)
+                .ok_or_else(|| format!("missing field `{key}`")),
+            _ => Err(format!("expected an object with field `{key}`")),
+        }
+    }
+
+    /// Member `key` as a number (`null` is not one).
+    pub fn f64_field(&self, key: &str) -> Result<f64, String> {
+        typed(self.field(key)?.as_f64(), key, "a number")
+    }
+
+    /// Member `key` as a string.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        typed(self.field(key)?.as_str(), key, "a string")
+    }
+
+    /// Member `key` as an array.
+    pub fn arr_field(&self, key: &str) -> Result<&[Json], String> {
+        let items = match self.field(key)? {
+            Json::Arr(items) => Some(items.as_slice()),
+            _ => None,
+        };
+        typed(items, key, "an array")
+    }
+
+    /// Member `key` as a count of type `T`: a non-negative whole number
+    /// that fits `T`. JSON does not tell `8` from `8.0`, so both read as 8.
+    pub fn count_field<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        count(self.field(key)?, key)
+    }
+
+    /// Member `key` as an array of counts of type `T` (see
+    /// [`Json::count_field`]).
+    pub fn counts_field<T: TryFrom<u64>>(&self, key: &str) -> Result<Vec<T>, String> {
+        self.arr_field(key)?.iter().map(|v| count(v, key)).collect()
+    }
+
+    /// An object with `members` in order.
+    pub fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// The value as JSON text, two-space indented: one item or member per
+    /// line, `"key": value`, empty containers as `[]` / `{}`, no trailing
+    /// newline. Numbers take the shortest form that reads back to the
+    /// same bits (`8.0` is written `8`); NaN and infinities, which JSON
+    /// cannot express, are written as `null`.
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out
+    }
+
+    fn write_pretty(&self, out: &mut String, depth: usize) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => push_f64(out, *n),
+            Json::Str(s) => push_quoted(out, s),
+            Json::Arr(items) => write_block(out, depth, ('[', ']'), items, |out, v| {
+                v.write_pretty(out, depth + 1)
+            }),
+            Json::Obj(members) => write_block(out, depth, ('{', '}'), members, |out, (k, v)| {
+                push_quoted(out, k);
+                out.push_str(": ");
+                v.write_pretty(out, depth + 1);
+            }),
+        }
+    }
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Self {
+        Json::Num(v)
+    }
+}
+
+impl From<u32> for Json {
+    fn from(v: u32) -> Self {
+        Json::Num(v.into())
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Self {
+        Json::Num(v as f64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Self {
+        Json::Str(v.to_string())
+    }
+}
+
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        Json::Arr(iter.into_iter().map(Into::into).collect())
+    }
+}
+
+fn typed<T>(v: Option<T>, key: &str, want: &str) -> Result<T, String> {
+    v.ok_or_else(|| format!("field `{key}`: expected {want}"))
+}
+
+fn count<T: TryFrom<u64>>(v: &Json, key: &str) -> Result<T, String> {
+    v.as_u64().and_then(|n| T::try_from(n).ok()).ok_or_else(|| {
+        let ty = std::any::type_name::<T>();
+        format!("field `{key}`: expected a non-negative integer that fits {ty}")
+    })
+}
+
+fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    escape_json_into(out, s);
+    out.push('"');
+}
+
+fn write_block<T>(
+    out: &mut String,
+    depth: usize,
+    (open, close): (char, char),
+    items: &[T],
+    mut write_item: impl FnMut(&mut String, &T),
+) {
+    out.push(open);
+    for (i, item) in items.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        push_indent(out, depth + 1);
+        write_item(out, item);
+    }
+    if !items.is_empty() {
+        out.push('\n');
+        push_indent(out, depth);
+    }
+    out.push(close);
+}
+
+fn push_indent(out: &mut String, depth: usize) {
+    for _ in 0..depth {
+        out.push_str("  ");
     }
 }
 
@@ -297,6 +453,63 @@ mod tests {
         assert!(parse("[1 2]").is_err());
         assert!(parse("123 trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn pretty_layout_is_two_space_indented() {
+        let v = Json::obj([
+            ("name", "a\"b".into()),
+            ("n", 8u32.into()),
+            ("xs", [1.5, 0.1].into_iter().collect()),
+            ("empty", Json::Arr(Vec::new())),
+            (
+                "o",
+                Json::obj([("nan", f64::NAN.into()), ("t", Json::Bool(true))]),
+            ),
+        ]);
+        let want =
+            "{\n  \"name\": \"a\\\"b\",\n  \"n\": 8,\n  \"xs\": [\n    1.5,\n    0.1\n  ],\n  \
+                    \"empty\": [],\n  \"o\": {\n    \"nan\": null,\n    \"t\": true\n  }\n}";
+        assert_eq!(v.to_pretty(), want);
+        assert_eq!(Json::Obj(Vec::new()).to_pretty(), "{}");
+    }
+
+    #[test]
+    #[allow(clippy::excessive_precision)] // over-precise literal is the point
+    fn pretty_floats_read_back_bit_exactly() {
+        for f in [
+            0.1,
+            1.0 / 3.0,
+            6.02214076e23,
+            -0.0,
+            1e-308,
+            123456789.123456789,
+            8.0,
+        ] {
+            let text = Json::from(f).to_pretty();
+            let back = parse(&text).unwrap().as_f64().unwrap();
+            assert_eq!(back.to_bits(), f.to_bits(), "{f} written as {text}");
+        }
+        assert_eq!(Json::from(f64::INFINITY).to_pretty(), "null");
+    }
+
+    #[test]
+    fn typed_fields_name_what_is_wrong() {
+        let v =
+            parse(r#"{"c": 8.0, "f": null, "s": "x", "a": [1, -1], "big": 4294967296}"#).unwrap();
+        assert_eq!(v.count_field::<u32>("c"), Ok(8));
+        assert_eq!(v.str_field("s"), Ok("x"));
+        assert!(v.field("zz").unwrap_err().contains("missing field `zz`"));
+        assert!(v.f64_field("f").unwrap_err().contains("field `f`"));
+        assert!(v.str_field("c").unwrap_err().contains("field `c`"));
+        assert!(v.arr_field("s").unwrap_err().contains("field `s`"));
+        assert!(v
+            .counts_field::<u32>("a")
+            .unwrap_err()
+            .contains("field `a`"));
+        assert!(v.count_field::<u32>("big").unwrap_err().contains("u32"));
+        assert_eq!(v.count_field::<u64>("big"), Ok(1 << 32));
+        assert!(Json::Null.field("c").is_err());
     }
 
     #[test]

@@ -533,8 +533,10 @@ mod tests {
     #[test]
     fn quantile_with_single_bucket_returns_its_upper_bound() {
         // All mass in one bucket: every quantile lands on that bucket.
-        let mut h = HistogramSnapshot::default();
-        h.count = 9;
+        let mut h = HistogramSnapshot {
+            count: 9,
+            ..Default::default()
+        };
         h.buckets[bucket_index(100)] = 9;
         let ub = bucket_upper_bound(bucket_index(100));
         assert_eq!(ub, 127);
@@ -542,13 +544,17 @@ mod tests {
             assert_eq!(h.quantile(q), ub, "q={q}");
         }
         // Bucket 0 holds only the value 0.
-        let mut z = HistogramSnapshot::default();
-        z.count = 1;
+        let mut z = HistogramSnapshot {
+            count: 1,
+            ..Default::default()
+        };
         z.buckets[0] = 1;
         assert_eq!(z.quantile(1.0), 0);
         // The open-ended last bucket reports u64::MAX.
-        let mut top = HistogramSnapshot::default();
-        top.count = 1;
+        let mut top = HistogramSnapshot {
+            count: 1,
+            ..Default::default()
+        };
         top.buckets[HISTOGRAM_BUCKETS - 1] = 1;
         assert_eq!(top.quantile(0.5), u64::MAX);
     }
@@ -557,8 +563,10 @@ mod tests {
     fn quantile_survives_saturating_counts() {
         // Bucket totals beyond u64::MAX must not overflow the rank
         // arithmetic: ranks accumulate in u128.
-        let mut h = HistogramSnapshot::default();
-        h.count = u64::MAX;
+        let mut h = HistogramSnapshot {
+            count: u64::MAX,
+            ..Default::default()
+        };
         h.buckets[3] = u64::MAX;
         h.buckets[7] = u64::MAX;
         assert_eq!(h.quantile(0.0), bucket_upper_bound(3));
@@ -569,13 +577,17 @@ mod tests {
 
     #[test]
     fn histogram_merge_saturates_and_inverts_delta() {
-        let mut a = HistogramSnapshot::default();
-        a.count = u64::MAX - 1;
-        a.sum = 10;
+        let mut a = HistogramSnapshot {
+            count: u64::MAX - 1,
+            sum: 10,
+            ..Default::default()
+        };
         a.buckets[2] = u64::MAX - 1;
-        let mut b = HistogramSnapshot::default();
-        b.count = 5;
-        b.sum = 7;
+        let mut b = HistogramSnapshot {
+            count: 5,
+            sum: 7,
+            ..Default::default()
+        };
         b.buckets[2] = 5;
         let m = a.merge(&b);
         assert_eq!(m.count, u64::MAX, "count saturates");
@@ -583,9 +595,11 @@ mod tests {
         assert_eq!(m.sum, 17);
 
         // merge is the inverse of delta_since away from saturation.
-        let mut base = HistogramSnapshot::default();
-        base.count = 4;
-        base.sum = 40;
+        let mut base = HistogramSnapshot {
+            count: 4,
+            sum: 40,
+            ..Default::default()
+        };
         base.buckets[5] = 4;
         let mut cur = base.clone();
         cur.count += 3;

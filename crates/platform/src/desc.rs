@@ -1,7 +1,7 @@
 //! The hardware description data model.
 
+use harp_obs::json::{self, Json};
 use harp_types::{CoreId, CoreKind, ErvShape, HarpError, HwThreadId, ResourceVector, Result};
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Performance parameters of one core kind.
@@ -9,7 +9,7 @@ use std::path::Path;
 /// Rates are expressed in abstract *work units per second* — for generic
 /// applications one work unit corresponds to one retired instruction, so the
 /// rate is directly an IPS figure (what `perf` reports in the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfParams {
     /// Work units per second of a single hardware thread running alone on
     /// the core at maximum frequency.
@@ -29,7 +29,7 @@ pub struct PerfParams {
 /// P(core) = idle_w + active_w · (f/f_max)³ · s(a)    (a ≥ 1 busy threads)
 /// s(a)    = 1 + smt_active_extra · (a − 1)
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerParams {
     /// Power of an idle core in watts (clock-gated but not power-gated).
     pub core_idle_w: f64,
@@ -45,7 +45,7 @@ pub struct PowerParams {
 }
 
 /// One homogeneous cluster of cores (one *core kind*).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterDesc {
     /// Human-readable kind name ("P-core", "E-core", "A15", "A7").
     pub kind_name: String,
@@ -66,6 +66,56 @@ pub struct ClusterDesc {
 }
 
 impl ClusterDesc {
+    fn encode(&self) -> Json {
+        let perf = &self.perf;
+        let power = &self.power;
+        Json::obj([
+            ("kind_name", self.kind_name.as_str().into()),
+            ("cores", self.cores.into()),
+            ("smt_width", self.smt_width.into()),
+            ("min_freq_mhz", self.min_freq_mhz.into()),
+            ("max_freq_mhz", self.max_freq_mhz.into()),
+            (
+                "perf",
+                Json::obj([
+                    ("ips_per_thread", perf.ips_per_thread.into()),
+                    ("smt_rate_factor", perf.smt_rate_factor.into()),
+                ]),
+            ),
+            (
+                "power",
+                Json::obj([
+                    ("core_idle_w", power.core_idle_w.into()),
+                    ("core_active_w", power.core_active_w.into()),
+                    ("smt_active_extra", power.smt_active_extra.into()),
+                    ("cluster_static_w", power.cluster_static_w.into()),
+                ]),
+            ),
+        ])
+    }
+
+    fn decode(v: &Json) -> std::result::Result<Self, String> {
+        let perf = v.field("perf")?;
+        let power = v.field("power")?;
+        Ok(ClusterDesc {
+            kind_name: v.str_field("kind_name")?.to_string(),
+            cores: v.count_field("cores")?,
+            smt_width: v.count_field("smt_width")?,
+            min_freq_mhz: v.f64_field("min_freq_mhz")?,
+            max_freq_mhz: v.f64_field("max_freq_mhz")?,
+            perf: PerfParams {
+                ips_per_thread: perf.f64_field("ips_per_thread")?,
+                smt_rate_factor: perf.f64_field("smt_rate_factor")?,
+            },
+            power: PowerParams {
+                core_idle_w: power.f64_field("core_idle_w")?,
+                core_active_w: power.f64_field("core_active_w")?,
+                smt_active_extra: power.f64_field("smt_active_extra")?,
+                cluster_static_w: power.f64_field("cluster_static_w")?,
+            },
+        })
+    }
+
     /// Total hardware threads in the cluster.
     pub fn hw_threads(&self) -> u32 {
         self.cores * self.smt_width as u32
@@ -102,7 +152,7 @@ impl ClusterDesc {
 /// Core and hardware-thread numbering is *cluster-major*: cluster 0 owns
 /// cores `0..c0` and cluster 1 owns cores `c0..c0+c1`; each core's hardware
 /// threads are consecutive.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareDescription {
     /// Machine name (for reports).
     pub name: String,
@@ -315,22 +365,48 @@ impl HardwareDescription {
     /// Serializes the description to pretty JSON (the on-disk format of
     /// `/etc/harp/hardware.json`).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("hardware description serializes")
+        Json::obj([
+            ("name", self.name.as_str().into()),
+            (
+                "clusters",
+                self.clusters.iter().map(ClusterDesc::encode).collect(),
+            ),
+            ("package_static_w", self.package_static_w.into()),
+            ("mem_bandwidth", self.mem_bandwidth.into()),
+        ])
+        .to_pretty()
     }
 
-    /// Parses a description from JSON and validates it.
+    /// Parses a description from JSON and validates it. Every field is
+    /// required and unknown keys are ignored; counts (`cores`,
+    /// `smt_width`) must be non-negative whole numbers in range, where
+    /// `8.0` reads as 8.
     ///
     /// # Errors
     ///
     /// Returns [`HarpError::Description`] on malformed JSON or failed
     /// validation.
     pub fn from_json(json: &str) -> Result<Self> {
-        let hw: HardwareDescription =
-            serde_json::from_str(json).map_err(|e| HarpError::Description {
+        let hw = json::parse(json)
+            .and_then(|doc| Self::decode(&doc))
+            .map_err(|e| HarpError::Description {
                 detail: format!("malformed hardware description: {e}"),
             })?;
         hw.validate()?;
         Ok(hw)
+    }
+
+    fn decode(doc: &Json) -> std::result::Result<Self, String> {
+        Ok(HardwareDescription {
+            name: doc.str_field("name")?.to_string(),
+            clusters: doc
+                .arr_field("clusters")?
+                .iter()
+                .map(ClusterDesc::decode)
+                .collect::<std::result::Result<_, _>>()?,
+            package_static_w: doc.f64_field("package_static_w")?,
+            mem_bandwidth: doc.f64_field("mem_bandwidth")?,
+        })
     }
 
     /// Loads a description file from disk.
@@ -463,7 +539,7 @@ mod tests {
         assert!(HardwareDescription::from_json("not json").is_err());
         let mut hw = presets::raptor_lake();
         hw.clusters[0].cores = 0;
-        let json = serde_json::to_string(&hw).unwrap();
+        let json = hw.to_json();
         assert!(matches!(
             HardwareDescription::from_json(&json),
             Err(HarpError::Description { .. })

@@ -9,12 +9,11 @@
 //! simulation step.
 
 use crate::desc::ClusterDesc;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A frequency-scaling governor model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Governor {
     /// Always run at the maximum allowed frequency. Disables the processor's

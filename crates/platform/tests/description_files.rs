@@ -60,29 +60,48 @@ fn edited(from: &str, to: &str) -> String {
     RAPTOR_LAKE.replacen(from, to, 1)
 }
 
-fn assert_rejected(json: &str, class: &str) {
+/// Decoding fails with a [`HarpError::Description`] whose detail names
+/// `reason`.
+fn assert_rejected(json: &str, class: &str, reason: &str) {
     match HardwareDescription::from_json(json) {
-        Err(HarpError::Description { .. }) => {}
+        Err(HarpError::Description { detail }) => {
+            assert!(
+                detail.contains(reason),
+                "{class}: {detail:?} lacks {reason:?}"
+            )
+        }
         other => panic!("{class}: expected a Description error, got {other:?}"),
     }
 }
 
 #[test]
 fn malformed_files_are_rejected() {
+    let count = "field `cores`: expected a non-negative integer that fits u32";
     let cases = [
-        ("missing field", edited("\"cores\": 8,", "")),
-        ("wrong type", edited("\"cores\": 8,", "\"cores\": \"8\",")),
+        (
+            "missing field",
+            edited("\"cores\": 8,", ""),
+            "missing field `cores`",
+        ),
+        (
+            "wrong type",
+            edited("\"cores\": 8,", "\"cores\": \"8\","),
+            count,
+        ),
         (
             "negative integer",
             edited("\"cores\": 8,", "\"cores\": -8,"),
+            count,
         ),
         (
             "fractional integer",
             edited("\"cores\": 8,", "\"cores\": 8.5,"),
+            count,
         ),
         (
             "out-of-range integer",
             edited("\"cores\": 8,", "\"cores\": 4294967296,"),
+            count,
         ),
         (
             "null float",
@@ -90,16 +109,36 @@ fn malformed_files_are_rejected() {
                 "\"ips_per_thread\": 9200000000.0,",
                 "\"ips_per_thread\": null,",
             ),
+            "field `ips_per_thread`: expected a number",
         ),
-        ("trailing data", format!("{RAPTOR_LAKE} {{}}")),
+        (
+            "null float validate() would pass as NaN",
+            edited("\"core_idle_w\": 0.7,", "\"core_idle_w\": null,"),
+            "field `core_idle_w`: expected a number",
+        ),
+        (
+            "trailing data",
+            format!("{RAPTOR_LAKE} {{}}"),
+            "trailing data",
+        ),
         (
             "truncated",
             RAPTOR_LAKE[..RAPTOR_LAKE.len() / 2].to_string(),
+            "malformed hardware description",
         ),
     ];
-    for (class, json) in &cases {
-        assert_rejected(json, class);
+    for (class, json, reason) in &cases {
+        assert_rejected(json, class, reason);
     }
+}
+
+/// JSON does not tell `8` from `8.0`: a count written as an integral
+/// float reads as that count.
+#[test]
+fn integral_float_counts_are_accepted() {
+    let json = edited("\"cores\": 8,", "\"cores\": 8.0,");
+    let hw = HardwareDescription::from_json(&json).expect("8.0 reads as 8");
+    assert_same(&hw, &presets::raptor_lake());
 }
 
 #[test]

@@ -20,10 +20,6 @@ pub trait Buf {
     /// callers check `remaining`.
     fn get_u64_le(&mut self) -> u64;
 
-    /// Copies the next `len` bytes out and advances past them. Panics if
-    /// fewer than `len` bytes remain.
-    fn copy_to_bytes(&mut self, len: usize) -> Vec<u8>;
-
     /// Discards the next `n` bytes. Panics if fewer than `n` remain.
     fn advance(&mut self, n: usize);
 }
@@ -45,12 +41,6 @@ impl Buf for &[u8] {
         u64::from_le_bytes(head.try_into().unwrap())
     }
 
-    fn copy_to_bytes(&mut self, len: usize) -> Vec<u8> {
-        let (head, rest) = self.split_at(len);
-        *self = rest;
-        head.to_vec()
-    }
-
     fn advance(&mut self, n: usize) {
         *self = &self[n..];
     }
@@ -65,9 +55,6 @@ impl<B: Buf + ?Sized> Buf for &mut B {
     }
     fn get_u64_le(&mut self) -> u64 {
         (**self).get_u64_le()
-    }
-    fn copy_to_bytes(&mut self, len: usize) -> Vec<u8> {
-        (**self).copy_to_bytes(len)
     }
     fn advance(&mut self, n: usize) {
         (**self).advance(n)
@@ -134,15 +121,5 @@ mod tests {
         assert_eq!(out.len(), 11);
         assert_eq!(out[0], 0xAB);
         assert_eq!(&out[9..], &[9, 9]);
-    }
-
-    #[test]
-    fn copy_to_bytes_splits() {
-        let data = [5u8, 6, 7];
-        let mut cursor: &[u8] = &data;
-        assert_eq!(cursor.copy_to_bytes(2), vec![5, 6]);
-        assert_eq!(cursor.remaining(), 1);
-        cursor.advance(1);
-        assert!(!cursor.has_remaining());
     }
 }

@@ -53,7 +53,7 @@ fn steady_state_decode_is_allocation_free() {
     let frame_bytes = encode_frame(&Message::Exit { app_id: 77 }).unwrap();
     let mut dec = FrameDecoder::new();
 
-    let mut feed_and_decode = |dec: &mut FrameDecoder| {
+    let feed_and_decode = |dec: &mut FrameDecoder| {
         let space = dec.read_space(frame_bytes.len());
         space[..frame_bytes.len()].copy_from_slice(&frame_bytes);
         dec.commit(frame_bytes.len());

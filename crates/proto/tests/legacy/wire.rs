@@ -18,7 +18,13 @@ pub fn get_bytes(buf: &mut impl Buf) -> Result<Vec<u8>> {
     if buf.remaining() < len {
         return Err(HarpError::protocol("truncated length-delimited field"));
     }
-    Ok(buf.copy_to_bytes(len).to_vec())
+    Ok(copy_to_bytes(buf, len))
+}
+
+/// Copies the next `len` bytes out and advances past them. Panics if
+/// fewer than `len` bytes remain.
+fn copy_to_bytes(buf: &mut impl Buf, len: usize) -> Vec<u8> {
+    (0..len).map(|_| buf.get_u8()).collect()
 }
 
 /// Reads a length-delimited UTF-8 string.
@@ -53,6 +59,16 @@ pub fn get_packed_u32(buf: &mut impl Buf) -> Result<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn copy_to_bytes_splits() {
+        let data = [5u8, 6, 7];
+        let mut cursor: &[u8] = &data;
+        assert_eq!(copy_to_bytes(&mut cursor, 2), vec![5, 6]);
+        assert_eq!(cursor.remaining(), 1);
+        cursor.advance(1);
+        assert!(!cursor.has_remaining());
+    }
 
     #[test]
     fn invalid_utf8_is_error() {

@@ -1180,7 +1180,7 @@ mod tests {
             let mut sim = Simulation::new(hw.clone(), SimConfig::default());
             sim.add_arrival(0, spec("a", 4.0e9), LaunchOpts::all_hw_threads());
             for (at, ev) in faults {
-                sim.add_fault(*at, ev.clone());
+                sim.add_fault(*at, *ev);
             }
             let r = sim.run(&mut NullManager).unwrap();
             (r.makespan_ns, r.total_energy_j)

@@ -7,10 +7,9 @@
 //! benchmark suite live in `harp-workload`.
 
 use harp_types::{HarpError, PriorityClass, Result};
-use serde::{Deserialize, Serialize};
 
 /// How many workers a phase runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseWidth {
     /// One thread (the master). Models sequential sections.
     Serial,
@@ -26,7 +25,7 @@ pub enum PhaseWidth {
 
 /// One phase of an application: `iterations` barrier-synchronized steps that
 /// together retire `work` work units.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSpec {
     /// Total work units retired by this phase.
     pub work: f64,
@@ -45,7 +44,7 @@ pub struct PhaseSpec {
 /// With `quadratic > 0` the *aggregate* throughput peaks at a finite worker
 /// count and then falls — the shared-input-queue convoy that makes the
 /// paper's `binpack` 6.9× faster when HARP scales it down (§6.3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ContentionModel {
     /// Linear loss coefficient.
     pub linear: f64,
@@ -78,7 +77,7 @@ impl ContentionModel {
 /// A complete application behaviour model.
 ///
 /// Construct via [`AppSpec::builder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppSpec {
     /// Application name (operating-point profiles are keyed by it).
     pub name: String,
@@ -475,17 +474,5 @@ mod tests {
         let peak = peak_n.unwrap();
         assert!(peak > 1 && peak < 16, "peak at {peak}");
         assert!(convoy.aggregate(32) < convoy.aggregate(peak));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let s = AppSpec::builder("rt", 2)
-            .mem_intensity(0.7)
-            .dynamic_balance(true)
-            .build()
-            .unwrap();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: AppSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

@@ -1,7 +1,5 @@
 //! The energy-utility cost function (paper §4.2.2, Eq. 2).
 
-use serde::{Deserialize, Serialize};
-
 /// Computes the energy-utility cost `ζ` of an operating point (paper Eq. 2):
 ///
 /// ```text
@@ -41,7 +39,7 @@ pub fn energy_utility_cost(utility: f64, power: f64, v_max: f64) -> f64 {
 /// An energy-utility cost paired with the normalized utility it was computed
 /// from — useful when callers also need the relative performance of a point
 /// (e.g. for reporting or tie-breaking).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormalizedCost {
     /// Energy-utility cost `ζ` (lower is better).
     pub zeta: f64,

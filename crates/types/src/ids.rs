@@ -1,7 +1,6 @@
 //! Identifier newtypes for the heterogeneous processor topology and for
 //! managed applications.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a *core kind* within a platform's hardware description.
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert_eq!(p.index(), 0);
 /// assert_eq!(format!("{p}"), "kind0");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreKind(pub usize);
 
 impl CoreKind {
@@ -47,7 +46,7 @@ impl fmt::Display for CoreKind {
 /// let c = CoreId(5);
 /// assert_eq!(format!("{c}"), "core5");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub usize);
 
 impl CoreId {
@@ -75,7 +74,7 @@ impl fmt::Display for CoreId {
 /// let t = HwThreadId(12);
 /// assert_eq!(t.index(), 12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HwThreadId(pub usize);
 
 impl HwThreadId {
@@ -104,7 +103,7 @@ impl fmt::Display for HwThreadId {
 /// let a = AppId(3);
 /// assert_eq!(format!("{a}"), "app3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AppId(pub u64);
 
 impl AppId {
@@ -146,13 +145,5 @@ mod tests {
         assert_send_sync::<CoreId>();
         assert_send_sync::<HwThreadId>();
         assert_send_sync::<AppId>();
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let a = AppId(42);
-        let json = serde_json::to_string(&a).unwrap();
-        let back: AppId = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, back);
     }
 }

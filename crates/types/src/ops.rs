@@ -2,11 +2,10 @@
 //! `libharp` (paper §4.1.2).
 
 use crate::{energy_utility_cost, ExtResourceVector, HarpError, ResourceVector, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an operating point within one application's table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(pub usize);
 
 impl fmt::Display for OpId {
@@ -25,7 +24,7 @@ impl fmt::Display for OpId {
 ///   notion of progress report e.g. transactions or frames per second.
 /// * `power` — the power (in watts) attributed to the application while
 ///   running in this configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NonFunctional {
     /// Useful work per second (IPS or application-specific).
     pub utility: f64,
@@ -47,7 +46,7 @@ impl NonFunctional {
 /// details (thread-to-core mappings, adaptivity-knob values of fine-grained
 /// points) remain on the application side — the RM only ever sees the
 /// extended resource vector, exactly as the paper specifies (§4.1.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPoint {
     /// Resource demand of this configuration.
     pub erv: ExtResourceVector,
@@ -81,7 +80,7 @@ impl OperatingPoint {
 /// (from online monitoring or a description file) or *predicted* by a
 /// regression model, and it maintains the maximum observed utility used to
 /// normalize the energy-utility cost.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OperatingPointTable {
     points: Vec<OperatingPoint>,
     measured: Vec<bool>,

@@ -10,7 +10,6 @@
 //! session (via `RmCore::set_priority`), and is journaled so crash
 //! recovery replays to the same allocation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Tenant priority class of a managed application.
@@ -22,9 +21,7 @@ use std::fmt;
 /// `Batch` app is downgraded first. `Standard` has weight exactly
 /// `1.0`, which keeps every pre-priority allocation bit-identical
 /// (multiplying an IEEE-754 double by 1.0 is the identity).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PriorityClass {
     /// Throughput workloads that tolerate deferral (weight 0.5).
     Batch,

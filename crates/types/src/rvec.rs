@@ -10,7 +10,6 @@
 //! (one P-core with one hardware thread, two P-cores with two, four E-cores).
 
 use crate::{CoreKind, HarpError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The *shape* of extended resource vectors on a platform: the SMT width
@@ -29,7 +28,7 @@ use std::fmt;
 /// assert_eq!(shape.num_kinds(), 2);
 /// assert_eq!(shape.smt_width(harp_types::CoreKind(0)), Some(2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ErvShape {
     smt_widths: Vec<usize>,
 }
@@ -84,7 +83,7 @@ impl ErvShape {
 /// let capacity = ResourceVector::new(vec![8, 16]);
 /// assert!(demand.fits_within(&capacity));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct ResourceVector(Vec<u32>);
 
 impl ResourceVector {
@@ -205,7 +204,7 @@ impl FromIterator<u32> for ResourceVector {
 /// feature representation used by the regression models of the runtime
 /// exploration (paper §5.2) and by the distance metric of the initial-stage
 /// exploration heuristic (§5.3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ExtResourceVector {
     per_kind: Vec<Vec<u32>>,
 }
@@ -637,14 +636,5 @@ mod tests {
         assert!(z.is_zero());
         assert_eq!(z.total_threads(), 0);
         assert!(z.resource_vector().is_zero());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let shape = rpl_shape();
-        let erv = ExtResourceVector::from_flat(&shape, &[1, 2, 4]).unwrap();
-        let json = serde_json::to_string(&erv).unwrap();
-        let back: ExtResourceVector = serde_json::from_str(&json).unwrap();
-        assert_eq!(erv, back);
     }
 }

@@ -263,7 +263,7 @@ fn killed_daemon_restart_resumes_client_with_bit_identical_allocation() {
     ];
     let sock = socket.clone();
     let mut session = HarpSession::connect_with_reconnect(
-        move || UnixTransport::connect(&sock).map_err(Into::into),
+        move || UnixTransport::connect(&sock),
         SessionConfig::new("survivor", AdaptivityType::Scalable).with_points(vec![2, 1], points),
         ReconnectPolicy::new(Duration::from_millis(2), Duration::from_millis(50), 500)
             .with_seed(0x5EED_CAFE),
@@ -272,35 +272,29 @@ fn killed_daemon_restart_resumes_client_with_bit_identical_allocation() {
     let app_id = session.app_id();
 
     // Settle on the post-submission allocation (8 E-core threads).
-    let poll_until =
-        |session: &mut HarpSession<UnixTransport>,
-         what: &str,
-         mut cond: Box<dyn FnMut(&mut HarpSession<UnixTransport>) -> bool>| {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                let _ = session.poll(|| 0.0);
-                if cond(session) {
-                    break;
-                }
-                assert!(Instant::now() < deadline, "timed out waiting for {what}");
-                std::thread::sleep(Duration::from_millis(2));
+    type Session = HarpSession<UnixTransport>;
+    fn poll_until(session: &mut Session, what: &str, mut cond: impl FnMut(&mut Session) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let _ = session.poll(|| 0.0);
+            if cond(session) {
+                break;
             }
-        };
-    poll_until(
-        &mut session,
-        "first allocation",
-        Box::new(|s| s.allocation().current().is_some_and(|a| a.parallelism == 8)),
-    );
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+    poll_until(&mut session, "first allocation", |s: &mut Session| {
+        s.allocation().current().is_some_and(|a| a.parallelism == 8)
+    });
     let before = session.allocation().current().expect("allocation");
 
     // Crash: connections severed, journal kept. The session degrades but
     // keeps the last activation applied.
     daemon.kill();
-    poll_until(
-        &mut session,
-        "degraded state",
-        Box::new(|s| s.state() == SessionState::Degraded),
-    );
+    poll_until(&mut session, "degraded state", |s: &mut Session| {
+        s.state() == SessionState::Degraded
+    });
     assert_eq!(
         session.allocation().current(),
         Some(before.clone()),
@@ -311,21 +305,17 @@ fn killed_daemon_restart_resumes_client_with_bit_identical_allocation() {
     // under its token and replays the identical allocation.
     let daemon = HarpDaemon::start(DaemonConfig::new(&socket, hw).with_journal(&journal)).unwrap();
     assert!(daemon.epoch() > epoch_before, "boot epoch must increase");
-    poll_until(
-        &mut session,
-        "reconnect",
-        Box::new(|s| s.state() == SessionState::Connected),
-    );
+    poll_until(&mut session, "reconnect", |s: &mut Session| {
+        s.state() == SessionState::Connected
+    });
     assert_eq!(session.app_id(), app_id, "resume must keep the session id");
     assert!(
         session.epoch() > epoch_before,
         "client must observe the bump"
     );
-    poll_until(
-        &mut session,
-        "replayed allocation",
-        Box::new(move |s| s.allocation().current() == Some(before.clone())),
-    );
+    poll_until(&mut session, "replayed allocation", |s: &mut Session| {
+        s.allocation().current() == Some(before.clone())
+    });
 
     session.exit().unwrap();
     daemon.shutdown();
